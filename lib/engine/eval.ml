@@ -1028,6 +1028,7 @@ module Internal = struct
   let eval_gterm = eval_gterm
   let eval_pred = eval_pred
   let eval_pred_values = eval_pred_values
+  let cmp_values = cmp_values
   let eval_formula = eval_formula
   let eval_gformula = eval_gformula
   let eval_collection = eval_collection

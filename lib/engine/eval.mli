@@ -157,6 +157,12 @@ module Internal : sig
   val eval_pred_values :
     ctx -> pred -> Arc_value.Value.t list -> Arc_value.Bool3.t
 
+  val cmp_values :
+    ctx -> cmp_op -> Arc_value.Value.t -> Arc_value.Value.t ->
+    Arc_value.Bool3.t
+  (** The comparison step of {!eval_pred_values} under the context's
+      null logic. *)
+
   val eval_formula : ctx -> benv -> formula -> Arc_value.Bool3.t
 
   val eval_gformula :

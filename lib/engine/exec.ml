@@ -3,6 +3,7 @@ module V = Arc_value.Value
 module B3 = Arc_value.Bool3
 module Conventions = Arc_value.Conventions
 module Aggregate = Arc_value.Aggregate
+module Key = Arc_value.Key
 module Relation = Arc_relation.Relation
 module Tuple = Arc_relation.Tuple
 module Schema = Arc_relation.Schema
@@ -16,35 +17,34 @@ module Opt = Arc_plan.Opt
 module I = Eval.Internal
 
 (* The physical engine: executes the Arc_plan IR with hash-based join,
-   semi/anti-join, aggregation and deduplication operators. All per-row
-   semantics — term, predicate and formula evaluation, deferred resolution,
-   and the collection fallback — are delegated to Eval.Internal, so the two
-   engines share one notion of what a row means and can only differ in what
-   they enumerate. *)
+   semi/anti-join, aggregation and deduplication operators. Per-row
+   semantics come from Eval.Internal: the tuple path calls its term,
+   predicate and formula evaluators directly; the block path compiles terms
+   into closures over the same value-level primitives and hands formulas,
+   deferred resolution and the collection fallback to it. So the two
+   engines share one notion of what a row means and can only differ in
+   what they enumerate. *)
 
 exception Eval_error = Eval.Eval_error
 
 let raise_kind kind = raise (Eval_error (Err.make kind))
 
 (* ------------------------------------------------------------------ *)
-(* Fixpoint index caches                                               *)
+(* Fixpoint rule marks                                                 *)
 (* ------------------------------------------------------------------ *)
 
-(* Persistent per-delta-rule state for the indexed seminaive fixpoint.
-   [fc_stable] marks the maximal subtrees of the rule's plan that scan
-   neither the recursive component nor its __delta__ relations: their
-   result cannot change between rounds, so [fc_rows] memoizes it on first
-   execution. [fc_joins] marks hash joins with such a stable subtree on
-   one side; [fc_tables] keeps the hash table built from that side alive
-   across rounds, so each round only probes it with the current delta.
-   Cached tables are always keyed through the buffer-serialized term path:
-   the whole-tuple fast key is negotiated per call from the probe rows of
-   one particular round and must not leak into state that outlives it. *)
-type fix_cache = {
-  fc_stable : (int, unit) Hashtbl.t;
-  fc_rows : (int, I.benv array) Hashtbl.t;
-  fc_joins : (int, [ `Left | `Right ]) Hashtbl.t;
-  fc_tables : (int, (string, I.benv) Hashtbl.t * int) Hashtbl.t;
+(* Per-delta-rule marks for the indexed seminaive fixpoint. [fm_stable]
+   holds the maximal subtrees of the rule's plan that scan neither the
+   recursive component nor its __delta__ relations: their result cannot
+   change between rounds, so the compiled rule memoizes it on first
+   execution. [fm_joins] holds the hash joins with such a stable subtree
+   on one side: the compiled join keeps the hash table built from that
+   side alive across rounds, so each round only probes it with the
+   current delta. The memoized rows and tables live in the closures of
+   the rule's compiled pipeline, which the fixpoint builds once. *)
+type fix_marks = {
+  fm_stable : (int, unit) Hashtbl.t;
+  fm_joins : (int, [ `Left | `Right ]) Hashtbl.t;
 }
 
 (* A subtree is stable when no scan under it resolves a [banned] relation
@@ -72,70 +72,60 @@ let rec stable_subtree banned (t : Ir.t) =
    persistent build table) of one delta rule, using the same positional id
    arithmetic the executor walks with. Inner plans of laterals and
    subqueries are never marked: their nodes execute under per-row outer
-   environments, where memoized results would be wrong. *)
-let rec mark_fix fc banned id (t : Ir.t) =
+   rows, where memoized results would be wrong. *)
+let rec mark_fix fm banned id (t : Ir.t) =
   if stable_subtree banned t then (
-    match t with Ir.One -> () | _ -> Hashtbl.replace fc.fc_stable id ())
+    match t with Ir.One -> () | _ -> Hashtbl.replace fm.fm_stable id ())
   else
     match t with
     | Ir.One | Ir.Scan _ | Ir.Subquery _ -> ()
     | Ir.Product { left; right } ->
-        mark_fix fc banned (id + 1) left;
-        mark_fix fc banned (id + 1 + Ir.size left) right
+        mark_fix fm banned (id + 1) left;
+        mark_fix fm banned (id + 1 + Ir.size left) right
     | Ir.Hash_join { left; right; _ } ->
         let lid = id + 1 and rid = id + 1 + Ir.size left in
         if stable_subtree banned right then begin
-          Hashtbl.replace fc.fc_joins id `Right;
-          mark_fix fc banned lid left
+          Hashtbl.replace fm.fm_joins id `Right;
+          mark_fix fm banned lid left
         end
         else if stable_subtree banned left then begin
-          Hashtbl.replace fc.fc_joins id `Left;
-          mark_fix fc banned rid right
+          Hashtbl.replace fm.fm_joins id `Left;
+          mark_fix fm banned rid right
         end
         else begin
-          mark_fix fc banned lid left;
-          mark_fix fc banned rid right
+          mark_fix fm banned lid left;
+          mark_fix fm banned rid right
         end
     | Ir.Filter { input; _ }
     | Ir.Residual { input; _ }
     | Ir.Prune { input; _ }
     | Ir.Resolve { input; _ }
     | Ir.Lateral { input; _ } ->
-        mark_fix fc banned (id + 1) input
+        mark_fix fm banned (id + 1) input
     | Ir.Semi { input; sub; _ } ->
-        mark_fix fc banned (id + 1) input;
-        mark_fix fc banned (id + 1 + Ir.size input) sub
-    | Ir.Append ts -> List.iter2 (mark_fix fc banned) (Ir.child_ids id t) ts
+        mark_fix fm banned (id + 1) input;
+        mark_fix fm banned (id + 1 + Ir.size input) sub
+    | Ir.Append ts -> List.iter2 (mark_fix fm banned) (Ir.child_ids id t) ts
 
-let make_fix_cache banned did (d : Ir.disjunct_plan) =
-  let fc =
-    {
-      fc_stable = Hashtbl.create 16;
-      fc_rows = Hashtbl.create 16;
-      fc_joins = Hashtbl.create 8;
-      fc_tables = Hashtbl.create 8;
-    }
-  in
+let make_fix_marks banned did (d : Ir.disjunct_plan) =
+  let fm = { fm_stable = Hashtbl.create 16; fm_joins = Hashtbl.create 8 } in
   (match d with
   | Ir.Project { input; _ } | Ir.Aggregate { input; _ } ->
-      mark_fix fc banned (did + 1) input);
-  fc
+      mark_fix fm banned (did + 1) input);
+  fm
 
 (* [stats] is the EXPLAIN ANALYZE sink: when present, every operator
    records per-node actuals keyed by the stable ids of [Ir.program_ids].
    When absent the executor takes a branch per node and nothing else.
-   [batched] selects the block-at-a-time pipeline (arrays of rows,
-   amortized governor probes, buffer-reused hash keys); the tuple-at-a-time
-   path is kept verbatim as the ablation baseline and for the incremental
-   maintenance hooks. Both paths produce rows in the same order.
-   [fix] is only set while executing a delta rule inside the indexed
-   seminaive fixpoint. *)
+   [batched] selects the slot-compiled block pipeline below; the
+   tuple-at-a-time path over binding environments is kept as the
+   ablation baseline and for the incremental maintenance hooks. Both
+   paths produce rows in the same order. *)
 type env = {
   ctx : I.ctx;
   outer : I.benv;
   stats : Ir.stats option;
   batched : bool;
-  fix : fix_cache option;
 }
 
 let tracer env = I.tracer env.ctx
@@ -143,8 +133,25 @@ let gov env = I.gov env.ctx
 
 let clock = Arc_obs.Metrics.now_ns
 
-let with_actual env id f =
-  match env.stats with None -> () | Some st -> f (Ir.touch st id)
+let with_actual stats id f =
+  match stats with None -> () | Some st -> f (Ir.touch st id)
+
+(* Brackets one operator with two clock reads and accumulates
+   invocations / rows / inclusive time on the node's id; with stats off
+   it is the operator itself. *)
+let instrument stats id count f =
+  match stats with
+  | None -> f
+  | Some st ->
+      fun x ->
+        let t0 = clock () in
+        let r = f x in
+        let t1 = clock () in
+        let a = Ir.touch st id in
+        a.Ir.a_invocations <- a.Ir.a_invocations + 1;
+        a.Ir.a_rows <- a.Ir.a_rows + count r;
+        a.Ir.a_incl_ns <- Int64.add a.Ir.a_incl_ns (Int64.sub t1 t0);
+        r
 
 let pred_true env full p = I.eval_pred env.ctx full p = B3.True
 let formula_true env full f = I.eval_formula env.ctx full f = B3.True
@@ -165,118 +172,62 @@ let group_key env (full : I.benv) keys =
   let kv = List.map (fun (v, a) -> I.eval_term env.ctx full (Attr (v, a))) keys in
   String.concat "" (List.map V.canonical kv)
 
-(* ------------------------------------------------------------------ *)
-(* Batched-path helpers                                                *)
-(* ------------------------------------------------------------------ *)
-
-(* Rows per governor probe on the batched path: cheap enough that a
-   cancel/deadline is still noticed promptly, large enough that the probe
-   vanishes from per-row cost. *)
-let block_rows = 256
-
-(* [row @ env.outer] without the append when there is no outer context —
-   the common case for top-level pipelines, where the tuple path pays a
-   per-row allocation for nothing. *)
-let full_of env (row : I.benv) =
-  match env.outer with [] -> row | o -> row @ o
-
-(* Same composite key as [key_of], built into a caller-owned reusable
-   buffer instead of [String.concat]. The encodings agree, but each join
-   only ever compares keys produced by one of the two. *)
-let key_of_buf env buf (row : I.benv) terms =
-  let full = full_of env row in
-  Buffer.clear buf;
-  let ok =
-    match (I.conv env.ctx).Conventions.null_logic with
-    | Conventions.Three_valued ->
-        List.for_all
-          (fun t ->
-            let v = I.eval_term env.ctx full t in
-            if V.is_null v then false
-            else begin
-              Buffer.add_string buf (V.canonical v);
-              true
-            end)
-          terms
-    | _ ->
-        List.iter
-          (fun t ->
-            Buffer.add_string buf
-              (V.canonical (I.eval_term env.ctx full t)))
-          terms;
-        true
-  in
-  if ok then Some (Buffer.contents buf) else None
-
-(* Whole-tuple join keys: when a side's key terms are attribute references
-   on one variable, [whole_var_attrs] returns that variable and the sorted
-   attribute set. If the set covers the row's entire schema on BOTH sides
-   of a join, the memoized [Tuple.key] is an equivalent composite key
-   (injective up to [Tuple.equal] over canonical cells), so the per-row
-   term evaluation disappears. Both sides must switch together — the two
-   encodings differ. *)
-let whole_var_attrs terms =
-  match terms with
-  | Attr (v, _) :: _ ->
-      let rec attrs_of = function
-        | [] -> Some []
-        | Attr (v', a) :: tl when String.equal v' v ->
-            Option.map (fun r -> a :: r) (attrs_of tl)
-        | _ -> None
+(* The collection boundary both pipelines share: governor tick and
+   collection depth, the [collection:<name>] span, the row charge, and
+   set-semantics deduplication of the disjuncts' concatenated output. *)
+let union_coll ctx (head : head) (disjuncts : unit -> Tuple.t list) =
+  let name = head.head_name in
+  let g = I.gov ctx and tr = I.tracer ctx in
+  Gov.tick g;
+  if not (Gov.enter_collection g) then Relation.empty ~name head.head_attrs
+  else
+    let sp = Obs.enter tr ("collection:" ^ name) in
+    let compute () =
+      let tuples = disjuncts () in
+      let tuples =
+        if not (Gov.active g) then tuples
+        else
+          let n = List.length tuples in
+          let allowed = Gov.charge_rows g n in
+          if allowed >= n then tuples else I.take allowed tuples
       in
-      Option.map
-        (fun attrs -> (v, List.sort_uniq compare attrs))
-        (attrs_of terms)
-  | _ -> None
+      let r = Relation.make ~name (Schema.make head.head_attrs) tuples in
+      match (I.conv ctx).Conventions.collection with
+      | Conventions.Set -> Relation.dedup r
+      | Conventions.Bag -> r
+    in
+    match compute () with
+    | r ->
+        if Obs.enabled tr then
+          Obs.set sp "rows_emitted" (Obs.Int (Relation.cardinality r));
+        Obs.leave tr sp;
+        Gov.leave_collection g;
+        r
+    | exception Eval_error e ->
+        Obs.leave tr sp;
+        Gov.leave_collection g;
+        raise (Eval_error (Err.in_collection name e))
+    | exception Err.Guard_error e ->
+        Obs.leave tr sp;
+        Gov.leave_collection g;
+        raise (Eval_error (Err.in_collection name e))
+    | exception e ->
+        Obs.leave tr sp;
+        Gov.leave_collection g;
+        raise e
 
-let all_whole v attrs (rows : I.benv array) =
-  Array.for_all
-    (fun (row : I.benv) ->
-      match row with
-      | [ (v', tp) ] ->
-          String.equal v' v
-          && Schema.sorted_attrs (Tuple.schema tp) = attrs
-      | _ -> false)
-    rows
-
-(* Filter an array of rows, probing the governor once per block. *)
-let filter_block env pass (rows : I.benv array) : I.benv array =
-  let g = gov env in
-  let n = Array.length rows in
-  let out = ref [] in
-  let i = ref 0 in
-  while !i < n do
-    Gov.tick g;
-    let stop = min n (!i + block_rows) in
-    while !i < stop do
-      let row = rows.(!i) in
-      if pass row then out := row :: !out;
-      incr i
-    done
-  done;
-  Array.of_list (List.rev !out)
+let head_unassigned (head : head) a =
+  raise_kind (Err.Head_unassigned { head = head.head_name; attr = a })
 
 (* ------------------------------------------------------------------ *)
-(* Pipeline execution: benv-level operators                            *)
+(* Tuple-at-a-time pipeline over binding environments                  *)
 (* ------------------------------------------------------------------ *)
 
-(* Every operator is a wrapper around an [_inner] worker: with stats on,
-   the wrapper brackets the worker with two clock reads and accumulates
-   invocations / rows / inclusive time on the node's id; with stats off it
-   is a single branch. Child ids use the same arithmetic as
-   [Ir.child_ids] / [Explain]. *)
+(* Every operator is a wrapper around an [_inner] worker (see
+   [instrument]). Child ids use the same arithmetic as [Ir.child_ids] /
+   [Explain]. *)
 let rec exec_rows env id (t : Ir.t) : I.benv list =
-  match env.stats with
-  | None -> exec_rows_inner env id t
-  | Some st ->
-      let t0 = clock () in
-      let rows = exec_rows_inner env id t in
-      let t1 = clock () in
-      let a = Ir.touch st id in
-      a.Ir.a_invocations <- a.Ir.a_invocations + 1;
-      a.Ir.a_rows <- a.Ir.a_rows + List.length rows;
-      a.Ir.a_incl_ns <- Int64.add a.Ir.a_incl_ns (Int64.sub t1 t0);
-      rows
+  instrument env.stats id List.length (exec_rows_inner env id) t
 
 and exec_rows_inner env id (t : Ir.t) : I.benv list =
   match t with
@@ -349,7 +300,7 @@ and exec_rows_inner env id (t : Ir.t) : I.benv list =
             | None -> [])
           probe
       in
-      with_actual env id (fun a ->
+      with_actual env.stats id (fun a ->
           a.Ir.a_build <- a.Ir.a_build + List.length build;
           a.Ir.a_probe <- a.Ir.a_probe + List.length probe;
           a.Ir.a_matches <- a.Ir.a_matches + List.length out);
@@ -428,7 +379,7 @@ and exec_rows_inner env id (t : Ir.t) : I.benv list =
                 found <> anti)
               rows
       in
-      with_actual env id (fun a ->
+      with_actual env.stats id (fun a ->
           a.Ir.a_build <- a.Ir.a_build + List.length sub_rows;
           a.Ir.a_probe <- a.Ir.a_probe + List.length rows;
           a.Ir.a_matches <- a.Ir.a_matches + List.length kept);
@@ -452,376 +403,10 @@ and exec_rows_inner env id (t : Ir.t) : I.benv list =
       List.concat
         (List.map2 (fun cid b -> exec_rows env cid b) (Ir.child_ids id t) ts)
 
-(* ------------------------------------------------------------------ *)
-(* Batched pipeline: the same operators over row arrays                *)
-(* ------------------------------------------------------------------ *)
-
-(* Mirrors [exec_rows]/[exec_rows_inner] block-at-a-time. Row order is
-   identical to the tuple path (the differential oracle and BENCH gates
-   check bag-equality; keeping order avoids even spurious diffs), so the
-   two paths differ only in cost: governor probes and tracer updates are
-   amortized per block, hash keys go through a reused buffer or the
-   memoized whole-tuple [Tuple.key], and grouping appends are O(1). *)
-and exec_block env id (t : Ir.t) : I.benv array =
-  match env.stats with
-  | None -> exec_block_inner env id t
-  | Some st ->
-      let t0 = clock () in
-      let rows = exec_block_inner env id t in
-      let t1 = clock () in
-      let a = Ir.touch st id in
-      a.Ir.a_invocations <- a.Ir.a_invocations + 1;
-      a.Ir.a_rows <- a.Ir.a_rows + Array.length rows;
-      a.Ir.a_incl_ns <- Int64.add a.Ir.a_incl_ns (Int64.sub t1 t0);
-      rows
-
-and exec_block_inner env id (t : Ir.t) : I.benv array =
-  (* Inside an indexed fixpoint rule, maximal component-free subtrees are
-     memoized: round 1 computes them, every later round reuses the rows. *)
-  match env.fix with
-  | Some fc when Hashtbl.mem fc.fc_stable id -> (
-      match Hashtbl.find_opt fc.fc_rows id with
-      | Some rows -> rows
-      | None ->
-          let rows = exec_block_node env id t in
-          Hashtbl.replace fc.fc_rows id rows;
-          rows)
-  | _ -> exec_block_node env id t
-
-and exec_block_node env id (t : Ir.t) : I.benv array =
-  match t with
-  | One -> [| [] |]
-  | Scan { var; rel; filters; _ } ->
-      let sp = Obs.enter (tracer env) "scan" in
-      let tuples = I.source_rows env.ctx env.outer (Base rel) in
-      let rows =
-        Array.of_list (List.map (fun tp -> [ (var, tp) ]) tuples)
-      in
-      let kept =
-        if filters = [] then rows
-        else
-          filter_block env
-            (fun row ->
-              List.for_all (pred_true env (full_of env row)) filters)
-            rows
-      in
-      if Obs.enabled (tracer env) then begin
-        Obs.set sp "relation" (Obs.Str rel);
-        Obs.set sp "candidates" (Obs.Int (Array.length rows));
-        Obs.set sp "survivors" (Obs.Int (Array.length kept))
-      end;
-      Obs.leave (tracer env) sp;
-      kept
-  | Subquery { var; plan } ->
-      let r = exec_coll env (id + 1) plan in
-      Array.of_list
-        (List.map (fun tp -> [ (var, tp) ]) (Relation.tuples r))
-  | Lateral { input; var; plan } ->
-      let rows = exec_block env (id + 1) input in
-      let plan_id = id + 1 + Ir.size input in
-      let sp = Obs.enter (tracer env) "lateral" in
-      let out = ref [] in
-      Array.iter
-        (fun (row : I.benv) ->
-          let r =
-            exec_coll { env with outer = row @ env.outer } plan_id plan
-          in
-          List.iter
-            (fun tp -> out := ((var, tp) :: row) :: !out)
-            (Relation.tuples r))
-        rows;
-      let out = Array.of_list (List.rev !out) in
-      if Obs.enabled (tracer env) then begin
-        Obs.set sp "rows_in" (Obs.Int (Array.length rows));
-        Obs.set sp "rows_out" (Obs.Int (Array.length out))
-      end;
-      Obs.leave (tracer env) sp;
-      out
-  | Product { left; right } ->
-      let l = exec_block env (id + 1) left in
-      let r = exec_block env (id + 1 + Ir.size left) right in
-      let nl = Array.length l and nr = Array.length r in
-      if nl = 0 || nr = 0 then [||]
-      else begin
-        let out = Array.make (nl * nr) [] in
-        for i = 0 to nl - 1 do
-          let lr = l.(i) in
-          for j = 0 to nr - 1 do
-            out.((i * nr) + j) <- r.(j) @ lr
-          done
-        done;
-        out
-      end
-  | Hash_join { left; right; keys }
-    when (match env.fix with
-         | Some fc -> Hashtbl.mem fc.fc_joins id
-         | None -> false) -> (
-      match env.fix with
-      | Some fc ->
-          exec_indexed_join env fc id left right keys
-            (Hashtbl.find fc.fc_joins id)
-      | None -> assert false)
-  | Hash_join { left; right; keys } ->
-      Gov.tick (gov env);
-      let sp = Obs.enter (tracer env) "hash_join" in
-      let build = exec_block env (id + 1 + Ir.size left) right in
-      let probe = exec_block env (id + 1) left in
-      let inner_terms = List.map (fun k -> k.Ir.inner) keys in
-      let outer_terms = List.map (fun k -> k.Ir.outer) keys in
-      let fast =
-        match (whole_var_attrs inner_terms, whole_var_attrs outer_terms) with
-        | Some (iv, ia), Some (ov, oa)
-          when ia = oa && all_whole iv ia build && all_whole ov oa probe ->
-            true
-        | _ -> false
-      in
-      let three_valued =
-        match (I.conv env.ctx).Conventions.null_logic with
-        | Conventions.Three_valued -> true
-        | _ -> false
-      in
-      let fast_key (row : I.benv) =
-        match row with
-        | [ (_, tp) ] ->
-            if three_valued && List.exists V.is_null (Tuple.values tp) then
-              None
-            else Some (Tuple.key tp)
-        | _ -> None
-      in
-      let buf = Buffer.create 64 in
-      let key_build rrow =
-        if fast then fast_key rrow else key_of_buf env buf rrow inner_terms
-      in
-      let key_probe lrow =
-        if fast then fast_key lrow else key_of_buf env buf lrow outer_terms
-      in
-      let tbl = Hashtbl.create (max 16 (Array.length build)) in
-      Array.iter
-        (fun rrow ->
-          match key_build rrow with
-          | Some k -> Hashtbl.add tbl k rrow
-          | None -> ())
-        build;
-      let g = gov env in
-      let n = Array.length probe in
-      let out = ref [] in
-      let matches = ref 0 in
-      let i = ref 0 in
-      while !i < n do
-        Gov.tick g;
-        let stop = min n (!i + block_rows) in
-        while !i < stop do
-          let lrow = probe.(!i) in
-          (match key_probe lrow with
-          | Some k ->
-              List.iter
-                (fun rrow ->
-                  incr matches;
-                  out := (rrow @ lrow) :: !out)
-                (Hashtbl.find_all tbl k)
-          | None -> ());
-          incr i
-        done
-      done;
-      let out = Array.of_list (List.rev !out) in
-      with_actual env id (fun a ->
-          a.Ir.a_build <- a.Ir.a_build + Array.length build;
-          a.Ir.a_probe <- a.Ir.a_probe + Array.length probe;
-          a.Ir.a_matches <- a.Ir.a_matches + !matches);
-      if Obs.enabled (tracer env) then begin
-        Obs.set sp "build" (Obs.Int (Array.length build));
-        Obs.set sp "probe" (Obs.Int (Array.length probe));
-        Obs.set sp "rows_out" (Obs.Int (Array.length out))
-      end;
-      Obs.leave (tracer env) sp;
-      out
-  | Filter { input; preds } ->
-      let rows = exec_block env (id + 1) input in
-      let sp = Obs.enter (tracer env) "filter" in
-      let kept =
-        filter_block env
-          (fun row -> List.for_all (pred_true env (full_of env row)) preds)
-          rows
-      in
-      if Obs.enabled (tracer env) then begin
-        Obs.set sp "candidates" (Obs.Int (Array.length rows));
-        Obs.set sp "survivors" (Obs.Int (Array.length kept))
-      end;
-      Obs.leave (tracer env) sp;
-      kept
-  | Residual { input; conjs } ->
-      let rows = exec_block env (id + 1) input in
-      let sp = Obs.enter (tracer env) "residual" in
-      let kept =
-        filter_block env
-          (fun row ->
-            List.for_all (formula_true env (full_of env row)) conjs)
-          rows
-      in
-      if Obs.enabled (tracer env) then begin
-        Obs.set sp "candidates" (Obs.Int (Array.length rows));
-        Obs.set sp "survivors" (Obs.Int (Array.length kept))
-      end;
-      Obs.leave (tracer env) sp;
-      kept
-  | Semi { anti; input; sub; keys; residual; _ } ->
-      Gov.tick (gov env);
-      let sp =
-        Obs.enter (tracer env) (if anti then "anti_join" else "semi_join")
-      in
-      let sub_rows = exec_block env (id + 1 + Ir.size input) sub in
-      let witness row candidates =
-        List.exists
-          (fun (srow : I.benv) ->
-            List.for_all (pred_true env (srow @ row @ env.outer)) residual)
-          candidates
-      in
-      let rows = exec_block env (id + 1) input in
-      let kept =
-        match keys with
-        | [] ->
-            let cands = Array.to_list sub_rows in
-            filter_block env (fun row -> witness row cands <> anti) rows
-        | _ ->
-            let inner_terms = List.map (fun k -> k.Ir.inner) keys in
-            let outer_terms = List.map (fun k -> k.Ir.outer) keys in
-            let buf = Buffer.create 64 in
-            let tbl = Hashtbl.create (max 16 (Array.length sub_rows)) in
-            Array.iter
-              (fun srow ->
-                match key_of_buf env buf srow inner_terms with
-                | Some k -> Hashtbl.add tbl k srow
-                | None -> ())
-              sub_rows;
-            filter_block env
-              (fun row ->
-                let found =
-                  match key_of_buf env buf row outer_terms with
-                  | Some k -> witness row (Hashtbl.find_all tbl k)
-                  | None -> false
-                in
-                found <> anti)
-              rows
-      in
-      with_actual env id (fun a ->
-          a.Ir.a_build <- a.Ir.a_build + Array.length sub_rows;
-          a.Ir.a_probe <- a.Ir.a_probe + Array.length rows;
-          a.Ir.a_matches <- a.Ir.a_matches + Array.length kept);
-      if Obs.enabled (tracer env) then begin
-        Obs.set sp "sub_rows" (Obs.Int (Array.length sub_rows));
-        Obs.set sp "candidates" (Obs.Int (Array.length rows));
-        Obs.set sp "survivors" (Obs.Int (Array.length kept))
-      end;
-      Obs.leave (tracer env) sp;
-      kept
-  | Resolve { input; binding; scope } ->
-      Gov.tick (gov env);
-      let rows = exec_block env (id + 1) input in
-      Array.of_list
-        (I.resolve_deferred env.ctx env.outer scope (Array.to_list rows)
-           [ binding ])
-  | Prune { input; keep } ->
-      Array.map
-        (fun (row : I.benv) ->
-          List.filter (fun (v, _) -> List.mem v keep) row)
-        (exec_block env (id + 1) input)
-  | Append ts ->
-      Array.concat
-        (List.map2 (fun cid b -> exec_block env cid b) (Ir.child_ids id t) ts)
-
-(* A hash join inside an indexed fixpoint rule with a stable [side]: that
-   side's hash table is built once, kept in the rule's cache, and probed
-   by each round with the side that reaches the __delta__ scan. When the
-   stable side is the left one the roles swap, but output rows still
-   concatenate right-rows before left-rows, so downstream attribute
-   lookups see the usual layout; only row order can differ, which the
-   set-level fixpoint ignores. *)
-and exec_indexed_join env fc id left right keys side : I.benv array =
-  Gov.tick (gov env);
-  let sp = Obs.enter (tracer env) "hash_join" in
-  let inner_terms = List.map (fun k -> k.Ir.inner) keys in
-  let outer_terms = List.map (fun k -> k.Ir.outer) keys in
-  let lid = id + 1 and rid = id + 1 + Ir.size left in
-  let build_id, build_plan, build_terms, probe_id, probe_plan, probe_terms =
-    match side with
-    | `Right -> (rid, right, inner_terms, lid, left, outer_terms)
-    | `Left -> (lid, left, outer_terms, rid, right, inner_terms)
-  in
-  let buf = Buffer.create 64 in
-  let tbl, build_n =
-    match Hashtbl.find_opt fc.fc_tables id with
-    | Some entry -> entry
-    | None ->
-        let rows = exec_block env build_id build_plan in
-        let tbl = Hashtbl.create (max 16 (Array.length rows)) in
-        Array.iter
-          (fun row ->
-            match key_of_buf env buf row build_terms with
-            | Some k -> Hashtbl.add tbl k row
-            | None -> ())
-          rows;
-        let entry = (tbl, Array.length rows) in
-        Hashtbl.replace fc.fc_tables id entry;
-        with_actual env id (fun a ->
-            a.Ir.a_build <- a.Ir.a_build + Array.length rows);
-        entry
-  in
-  let probe = exec_block env probe_id probe_plan in
-  let g = gov env in
-  let n = Array.length probe in
-  let out = ref [] in
-  let matches = ref 0 in
-  let i = ref 0 in
-  while !i < n do
-    Gov.tick g;
-    let stop = min n (!i + block_rows) in
-    while !i < stop do
-      let prow = probe.(!i) in
-      (match key_of_buf env buf prow probe_terms with
-      | Some k ->
-          List.iter
-            (fun brow ->
-              incr matches;
-              out :=
-                (match side with
-                | `Right -> brow @ prow
-                | `Left -> prow @ brow)
-                :: !out)
-            (Hashtbl.find_all tbl k)
-      | None -> ());
-      incr i
-    done
-  done;
-  let out = Array.of_list (List.rev !out) in
-  with_actual env id (fun a ->
-      a.Ir.a_probe <- a.Ir.a_probe + n;
-      a.Ir.a_matches <- a.Ir.a_matches + !matches);
-  if Obs.enabled (tracer env) then begin
-    Obs.set sp "build" (Obs.Int build_n);
-    Obs.set sp "probe" (Obs.Int n);
-    Obs.set sp "indexed" (Obs.Bool true);
-    Obs.set sp "rows_out" (Obs.Int (Array.length out))
-  end;
-  Obs.leave (tracer env) sp;
-  out
-
-(* ------------------------------------------------------------------ *)
-(* Disjuncts and collections                                           *)
-(* ------------------------------------------------------------------ *)
 
 and exec_disjunct env id (head : head) (d : Ir.disjunct_plan) : Tuple.t list
     =
-  match env.stats with
-  | None -> exec_disjunct_inner env id head d
-  | Some st ->
-      let t0 = clock () in
-      let tuples = exec_disjunct_inner env id head d in
-      let t1 = clock () in
-      let a = Ir.touch st id in
-      a.Ir.a_invocations <- a.Ir.a_invocations + 1;
-      a.Ir.a_rows <- a.Ir.a_rows + List.length tuples;
-      a.Ir.a_incl_ns <- Int64.add a.Ir.a_incl_ns (Int64.sub t1 t0);
-      tuples
+  instrument env.stats id List.length (exec_disjunct_inner env id head) d
 
 and exec_disjunct_inner env id (head : head) (d : Ir.disjunct_plan) :
     Tuple.t list =
@@ -829,39 +414,9 @@ and exec_disjunct_inner env id (head : head) (d : Ir.disjunct_plan) :
   let assign_term assigns a =
     match List.assoc_opt a assigns with
     | Some t -> t
-    | None ->
-        raise_kind (Err.Head_unassigned { head = head.head_name; attr = a })
-  in
-  let emit_group scope_vars post assigns (rep, group) =
-    if
-      List.for_all
-        (fun f -> I.eval_gformula env.ctx ~rep ~group ~scope_vars f = B3.True)
-        post
-    then
-      Some
-        (Tuple.make schema
-           (Array.of_list
-              (List.map
-                 (fun a ->
-                   I.eval_gterm env.ctx ~rep ~group ~scope_vars
-                     (assign_term assigns a))
-                 head.head_attrs)))
-    else None
+    | None -> head_unassigned head a
   in
   match d with
-  | Project { input; assigns } when env.batched ->
-      let rows = exec_block env (id + 1) input in
-      Array.to_list
-        (Array.map
-           (fun (row : I.benv) ->
-             let full = full_of env row in
-             Tuple.make schema
-               (Array.of_list
-                  (List.map
-                     (fun a ->
-                       I.eval_term env.ctx full (assign_term assigns a))
-                     head.head_attrs)))
-           rows)
   | Project { input; assigns } ->
       let rows = exec_rows env (id + 1) input in
       List.map
@@ -873,46 +428,6 @@ and exec_disjunct_inner env id (head : head) (d : Ir.disjunct_plan) :
                   (fun a -> I.eval_term env.ctx full (assign_term assigns a))
                   head.head_attrs)))
         rows
-  | Aggregate { input; keys; scope_vars; post; assigns } when env.batched ->
-      let rows = exec_block env (id + 1) input in
-      Gov.tick (gov env);
-      let sp = Obs.enter (tracer env) "hash_aggregate" in
-      let groups =
-        if keys = [] then
-          let full =
-            Array.to_list (Array.map (fun r -> full_of env r) rows)
-          in
-          [ ((match full with [] -> env.outer | r :: _ -> r), full) ]
-        else begin
-          (* groups accumulate in reversed ref cells: O(1) append instead
-             of the tuple path's quadratic [rs @ [full]] *)
-          let tbl = Hashtbl.create (max 16 (Array.length rows / 4)) in
-          let order = ref [] in
-          Array.iter
-            (fun (row : I.benv) ->
-              let full = full_of env row in
-              let k = group_key env full keys in
-              match Hashtbl.find_opt tbl k with
-              | Some cell -> cell := full :: !cell
-              | None ->
-                  let cell = ref [ full ] in
-                  order := cell :: !order;
-                  Hashtbl.replace tbl k cell)
-            rows;
-          List.rev_map
-            (fun cell ->
-              let group = List.rev !cell in
-              (List.hd group, group))
-            !order
-        end
-      in
-      if Obs.enabled (tracer env) then begin
-        Obs.set sp "rows_in" (Obs.Int (Array.length rows));
-        Obs.set sp "keys" (Obs.Int (List.length keys));
-        Obs.set sp "buckets" (Obs.Int (List.length groups))
-      end;
-      Obs.leave (tracer env) sp;
-      List.filter_map (emit_group scope_vars post assigns) groups
   | Aggregate { input; keys; scope_vars; post; assigns } ->
       let rows = exec_rows env (id + 1) input in
       Gov.tick (gov env);
@@ -947,71 +462,813 @@ and exec_disjunct_inner env id (head : head) (d : Ir.disjunct_plan) :
         Obs.set sp "buckets" (Obs.Int (List.length groups))
       end;
       Obs.leave (tracer env) sp;
-      List.filter_map (emit_group scope_vars post assigns) groups
+      List.filter_map
+        (fun (rep, group) ->
+          if
+            List.for_all
+              (fun f ->
+                I.eval_gformula env.ctx ~rep ~group ~scope_vars f = B3.True)
+              post
+          then
+            Some
+              (Tuple.make schema
+                 (Array.of_list
+                    (List.map
+                       (fun a ->
+                         I.eval_gterm env.ctx ~rep ~group ~scope_vars
+                           (assign_term assigns a))
+                       head.head_attrs)))
+          else None)
+        groups
 
 and exec_coll env id (p : Ir.coll_plan) : Relation.t =
-  match env.stats with
-  | None -> exec_coll_inner env id p
-  | Some st ->
-      let t0 = clock () in
-      let r = exec_coll_inner env id p in
-      let t1 = clock () in
-      let a = Ir.touch st id in
-      a.Ir.a_invocations <- a.Ir.a_invocations + 1;
-      a.Ir.a_rows <- a.Ir.a_rows + Relation.cardinality r;
-      a.Ir.a_incl_ns <- Int64.add a.Ir.a_incl_ns (Int64.sub t1 t0);
-      r
+  instrument env.stats id Relation.cardinality (exec_coll_inner env id) p
 
 and exec_coll_inner env id (p : Ir.coll_plan) : Relation.t =
   match p with
   | Fallback { coll; _ } -> I.eval_collection env.ctx env.outer coll
-  | Union { head; disjuncts } -> (
-      let name = head.head_name in
-      Gov.tick (gov env);
-      if not (Gov.enter_collection (gov env)) then
-        Relation.empty ~name head.head_attrs
+  | Union { head; disjuncts } ->
+      union_coll env.ctx head (fun () ->
+          List.concat
+            (List.map2
+               (fun did d -> exec_disjunct env did head d)
+               (Ir.coll_child_ids id p) disjuncts))
+
+(* ------------------------------------------------------------------ *)
+(* Slot-compiled block pipeline                                        *)
+(* ------------------------------------------------------------------ *)
+
+(* The batched pipeline works on rows that are slot arrays: one tuple per
+   bound variable, at a position fixed per plan node. A node's layout is
+   its bound variables in the order the tuple path concatenates them
+   (right side before left, a lateral's or a resolve's new variable
+   first), so a slot lookup finds the binding [List.assoc] would. Rows
+   inside a lateral's nested plan also see the enclosing row, passed
+   separately as the [outer] row with its own layout.
+
+   Each node is compiled once per execution into a closure from the outer
+   row to the node's output rows. Terms, predicates and keys compile to
+   closures that read [row.(slot)] and a column index cached per schema,
+   and join, semi-join and grouping tables hash on values ([Key]), not on
+   canonical strings. Per-row semantics stay shared with the reference
+   evaluator at the value level ([I.cmp_values], [I.eval_pred_values],
+   [Aggregate.apply]); rows turn back into binding environments only
+   where a node hands them to the reference evaluator: residual formulas,
+   deferred resolution, fallback collections, and HAVING formulas with a
+   nested quantifier. *)
+
+type row = Tuple.t array
+type layout = var array
+
+(* The compilation environment: what stays fixed while a compiled plan
+   runs. [marks] is only set for the pipeline of a fixpoint delta rule. *)
+type cenv = {
+  cx : I.ctx;
+  cstats : Ir.stats option;
+  marks : fix_marks option;
+}
+
+(* Rows per governor probe on the batched path: cheap enough that a
+   cancel/deadline is still noticed promptly, large enough that the probe
+   vanishes from per-row cost. *)
+let block_rows = 256
+
+let slot (l : layout) v =
+  let rec go i =
+    if i = Array.length l then -1
+    else if String.equal l.(i) v then i
+    else go (i + 1)
+  in
+  go 0
+
+(* The binding environment of [row] under layout [l], in front of
+   [tail]: what the tuple path would hold for the same row. *)
+let benv_of (l : layout) (row : row) (tail : I.benv) : I.benv =
+  let acc = ref tail in
+  for i = Array.length l - 1 downto 0 do
+    acc := (l.(i), row.(i)) :: !acc
+  done;
+  !acc
+
+let no_schema = Schema.make []
+
+(* Stands in for a variable an [Append] branch does not bind; reading it
+   raises the reference's missing-attribute error. *)
+let no_tuple = Tuple.make no_schema [||]
+
+(* [Tuple.get] with the column index cached per schema: rows of one scan
+   or one collection share their schema value, so the by-name lookup runs
+   once per schema rather than once per row. *)
+let column ctx v a : Tuple.t -> V.t =
+  let last = ref (no_schema, 0) in
+  fun tp ->
+    let s = Tuple.schema tp in
+    let ls, i = !last in
+    if ls == s then Tuple.nth tp i
+    else
+      match Schema.index s a with
+      | i ->
+          last := (s, i);
+          Tuple.nth tp i
+      | exception Schema.Unknown_attribute _ ->
+          (* raises the reference's error *)
+          I.eval_term ctx [ (v, tp) ] (Attr (v, a))
+
+let apply_scalar ctx op vals =
+  match (op, vals) with
+  | Add, [ a; b ] -> V.add a b
+  | Sub, [ a; b ] -> V.sub a b
+  | Mul, [ a; b ] -> V.mul a b
+  | Div, [ a; b ] -> V.div a b
+  | Mod, [ a; b ] -> V.modulo a b
+  | Neg, [ a ] -> V.neg a
+  | _ ->
+      (* malformed: the reference raises the error *)
+      I.eval_term ctx [] (Scalar (op, List.map (fun v -> Const v) vals))
+
+(* Compiled terms take the outer row, then the row. Attributes of
+   variables bound in neither fall through to the reference, which
+   resolves abstract-relation parameters or reports the unbound
+   variable. *)
+let rec compile_term ctx (l : layout) (o : layout) (t : term) :
+    row -> row -> V.t =
+  match t with
+  | Const c -> fun _ _ -> c
+  | Attr (v, a) -> (
+      let col = column ctx v a in
+      match (slot l v, slot o v) with
+      | i, _ when i >= 0 -> fun _ row -> col row.(i)
+      | _, j when j >= 0 -> fun outer _ -> col outer.(j)
+      | _ -> fun _ _ -> I.eval_term ctx [] t)
+  | Scalar (op, [ x; y ]) when op <> Neg ->
+      let f =
+        match op with
+        | Add -> V.add
+        | Sub -> V.sub
+        | Mul -> V.mul
+        | Div -> V.div
+        | _ -> V.modulo
+      in
+      let fx = compile_term ctx l o x and fy = compile_term ctx l o y in
+      fun outer row ->
+        let a = fx outer row in
+        let b = fy outer row in
+        f a b
+  | Scalar (op, ts) ->
+      let fs = List.map (compile_term ctx l o) ts in
+      fun outer row -> apply_scalar ctx op (List.map (fun f -> f outer row) fs)
+  | Agg _ ->
+      (* outside a grouping evaluation: the reference raises the error *)
+      fun outer row -> I.eval_term ctx (benv_of l row (benv_of o outer [])) t
+
+let is_true = function B3.True -> true | _ -> false
+
+let compile_pred ctx l o (p : pred) : row -> row -> bool =
+  match p with
+  | Cmp (op, x, y) ->
+      let fx = compile_term ctx l o x and fy = compile_term ctx l o y in
+      fun outer row ->
+        let a = fx outer row in
+        let b = fy outer row in
+        is_true (I.cmp_values ctx op a b)
+  | Is_null x | Not_null x | Like (x, _) ->
+      let fx = compile_term ctx l o x in
+      fun outer row -> is_true (I.eval_pred_values ctx p [ fx outer row ])
+
+(* A conjunction, evaluated left to right with short-circuit. *)
+let compile_preds ctx l o ps : row -> row -> bool =
+  match List.map (compile_pred ctx l o) ps with
+  | [] -> fun _ _ -> true
+  | [ p ] -> p
+  | ps -> fun outer row -> List.for_all (fun p -> p outer row) ps
+
+(* Returned by a compiled key when a component is NULL under
+   three-valued logic: such a key can never satisfy an equality. *)
+let no_key = [| V.Null |]
+
+let compile_key ctx ~join l o terms : row -> row -> V.t array =
+  let exclude_nulls =
+    join
+    &&
+    match (I.conv ctx).Conventions.null_logic with
+    | Conventions.Three_valued -> true
+    | Conventions.Two_valued -> false
+  in
+  match List.map (compile_term ctx l o) terms with
+  | [ f ] ->
+      fun outer row ->
+        let v = f outer row in
+        if exclude_nulls && V.is_null v then no_key else [| v |]
+  | fs ->
+      let fs = Array.of_list fs in
+      let n = Array.length fs in
+      fun outer row ->
+        let k = Array.make n V.Null in
+        let i = ref 0 in
+        while !i < n do
+          let v = fs.(!i) outer row in
+          if exclude_nulls && V.is_null v then i := n + 1
+          else begin
+            k.(!i) <- v;
+            incr i
+          end
+        done;
+        if !i > n then no_key else k
+
+(* Group-aware terms and formulas for a non-empty group: [rep] is the
+   group's first row. Mirrors [I.eval_gterm]/[I.eval_gformula]. *)
+let rec compile_gterm ctx l o (t : term) : row -> row -> row array -> V.t =
+  match t with
+  | Const c -> fun _ _ _ -> c
+  | Attr _ ->
+      let f = compile_term ctx l o t in
+      fun outer rep _ -> f outer rep
+  | Scalar (op, ts) ->
+      let fs = List.map (compile_gterm ctx l o) ts in
+      fun outer rep group ->
+        apply_scalar ctx op (List.map (fun f -> f outer rep group) fs)
+  | Agg (k, inner) ->
+      let f = compile_term ctx l o inner in
+      let empty = (I.conv ctx).Conventions.agg_empty in
+      fun outer _ group ->
+        Aggregate.apply empty k
+          (Array.fold_right (fun r acc -> f outer r :: acc) group [])
+
+let rec compile_gformula ctx l o scope_vars (f : formula) :
+    row -> row -> row array -> B3.t =
+  let sub = compile_gformula ctx l o scope_vars in
+  match f with
+  | True -> fun _ _ _ -> B3.True
+  | Pred p ->
+      let ts = List.map (compile_gterm ctx l o) (pred_terms p) in
+      fun outer rep group ->
+        I.eval_pred_values ctx p (List.map (fun t -> t outer rep group) ts)
+  | And fs ->
+      let cs = List.map sub fs in
+      fun outer rep group ->
+        B3.and_list (List.map (fun c -> c outer rep group) cs)
+  | Or fs ->
+      let cs = List.map sub fs in
+      fun outer rep group ->
+        B3.or_list (List.map (fun c -> c outer rep group) cs)
+  | Not f ->
+      let c = sub f in
+      fun outer rep group -> B3.not_ (c outer rep group)
+  | Exists _ ->
+      fun outer rep group ->
+        let ob = benv_of o outer [] in
+        I.eval_gformula ctx ~rep:(benv_of l rep ob)
+          ~group:(Array.to_list (Array.map (fun r -> benv_of l r ob) group))
+          ~scope_vars f
+
+(* Filter an array of rows, probing the governor once per block. *)
+let filter_block g pass (rows : row array) : row array =
+  let n = Array.length rows in
+  let out = Array.make n [||] in
+  let kept = ref 0 in
+  let i = ref 0 in
+  while !i < n do
+    Gov.tick g;
+    let stop = min n (!i + block_rows) in
+    while !i < stop do
+      let row = rows.(!i) in
+      if pass row then begin
+        out.(!kept) <- row;
+        incr kept
+      end;
+      incr i
+    done
+  done;
+  if !kept = n then out else Array.sub out 0 !kept
+
+(* [Array.append] for rows, with the common narrow cases allocated inline
+   instead of through the runtime. *)
+let concat (a : row) (b : row) : row =
+  match (Array.length a, Array.length b) with
+  | 1, 1 -> [| a.(0); b.(0) |]
+  | 1, 2 -> [| a.(0); b.(0); b.(1) |]
+  | 2, 1 -> [| a.(0); a.(1); b.(0) |]
+  | _ -> Array.append a b
+
+let rows_of_tuples tps : row array =
+  let a = Array.make (List.length tps) [||] in
+  List.iteri (fun i tp -> a.(i) <- [| tp |]) tps;
+  a
+
+(* Partition [rows] by [key]: each distinct key gets an id in
+   first-occurrence order, and [parts.(id)] holds its rows in input order.
+   Rows whose key is [no_key] are left out. Ids go to an int array first
+   and rows are then copied into exact-size arrays, so the partition
+   allocates no per-row blocks. *)
+type partition = { ids : int Key.Tbl.t; parts : row array array }
+
+let partition key outer (rows : row array) =
+  let ids = Key.Tbl.create 64 in
+  let n = Array.length rows in
+  (* group ids as 32-bit ints in bytes: half the memory, and not scanned
+     by the GC *)
+  let gid = Bytes.make (4 * n) '\255' in
+  let counts = ref (Array.make 16 0) in
+  let ngroups = ref 0 in
+  for i = 0 to n - 1 do
+    let k = key outer rows.(i) in
+    if k != no_key then begin
+      let g =
+        match Key.Tbl.find ids k with
+        | g -> g
+        | exception Not_found ->
+            let g = !ngroups in
+            if g = Array.length !counts then begin
+              let c = Array.make (2 * g) 0 in
+              Array.blit !counts 0 c 0 g;
+              counts := c
+            end;
+            Key.Tbl.add ids k g;
+            incr ngroups;
+            g
+      in
+      Bytes.set_int32_ne gid (4 * i) (Int32.of_int g);
+      !counts.(g) <- !counts.(g) + 1
+    end
+  done;
+  let parts = Array.init !ngroups (fun g -> Array.make !counts.(g) [||]) in
+  let fill = Array.make !ngroups 0 in
+  for i = 0 to n - 1 do
+    let g = Int32.to_int (Bytes.get_int32_ne gid (4 * i)) in
+    if g >= 0 then begin
+      parts.(g).(fill.(g)) <- rows.(i);
+      fill.(g) <- fill.(g) + 1
+    end
+  done;
+  { ids; parts }
+
+let part p k =
+  if k == no_key then [||]
+  else
+    match Key.Tbl.find p.ids k with
+    | g -> p.parts.(g)
+    | exception Not_found -> [||]
+
+(* Probe [tbl] with every row, one governor probe per block, and [join]
+   each probe row with each of its matches into an exact-size output
+   array. A key's matches are visited newest first, the order
+   [Hashtbl.find_all] returns them in on the tuple path. *)
+let probe_join g tbl key outer (probe : row array) join =
+  let n = Array.length probe in
+  let ms = Array.make n [||] in
+  let total = ref 0 in
+  let i = ref 0 in
+  while !i < n do
+    Gov.tick g;
+    let stop = min n (!i + block_rows) in
+    while !i < stop do
+      let m = part tbl (key outer probe.(!i)) in
+      ms.(!i) <- m;
+      total := !total + Array.length m;
+      incr i
+    done
+  done;
+  let out = Array.make !total [||] in
+  let k = ref 0 in
+  for i = 0 to n - 1 do
+    let prow = probe.(i) and m = ms.(i) in
+    for j = Array.length m - 1 downto 0 do
+      out.(!k) <- join prow m.(j);
+      incr k
+    done
+  done;
+  out
+
+let rec exists_cand p ro (cands : row array) ~newest_first j =
+  let n = Array.length cands in
+  j < n
+  && (p ro cands.(if newest_first then n - 1 - j else j)
+     || exists_cand p ro cands ~newest_first (j + 1))
+
+let rec compile_block ce id (o : layout) (t : Ir.t) :
+    layout * (row -> row array) =
+  let l, f = compile_node ce id o t in
+  (* inside an indexed fixpoint rule, maximal component-free subtrees are
+     memoized: round 1 computes them, every later round reuses the rows *)
+  let f =
+    match ce.marks with
+    | Some m when Hashtbl.mem m.fm_stable id ->
+        let memo = ref None in
+        fun outer ->
+          (match !memo with
+          | Some rows -> rows
+          | None ->
+              let rows = f outer in
+              memo := Some rows;
+              rows)
+    | _ -> f
+  in
+  (l, instrument ce.cstats id Array.length f)
+
+and compile_node ce id (o : layout) (t : Ir.t) : layout * (row -> row array)
+    =
+  let ctx = ce.cx in
+  let tr = I.tracer ctx and g = I.gov ctx in
+  match t with
+  | One -> ([||], fun _ -> [| [||] |])
+  | Scan { var; rel; filters; _ } ->
+      let l = [| var |] in
+      let pass = compile_preds ctx l o filters in
+      ( l,
+        fun outer ->
+          let sp = Obs.enter tr "scan" in
+          let rows = rows_of_tuples (I.source_rows ctx [] (Base rel)) in
+          let kept =
+            if filters = [] then rows else filter_block g (pass outer) rows
+          in
+          if Obs.enabled tr then begin
+            Obs.set sp "relation" (Obs.Str rel);
+            Obs.set sp "candidates" (Obs.Int (Array.length rows));
+            Obs.set sp "survivors" (Obs.Int (Array.length kept))
+          end;
+          Obs.leave tr sp;
+          kept )
+  | Subquery { var; plan } ->
+      let inner = compile_coll ce (id + 1) o plan in
+      ([| var |], fun outer -> rows_of_tuples (Relation.tuples (inner outer)))
+  | Lateral { input; var; plan } ->
+      let li, fi = compile_block ce (id + 1) o input in
+      let inner =
+        compile_coll ce (id + 1 + Ir.size input) (Array.append li o) plan
+      in
+      ( Array.append [| var |] li,
+        fun outer ->
+          let rows = fi outer in
+          let sp = Obs.enter tr "lateral" in
+          let out = ref [] in
+          Array.iter
+            (fun row ->
+              let r = inner (concat row outer) in
+              List.iter
+                (fun tp -> out := concat [| tp |] row :: !out)
+                (Relation.tuples r))
+            rows;
+          let out = Array.of_list (List.rev !out) in
+          if Obs.enabled tr then begin
+            Obs.set sp "rows_in" (Obs.Int (Array.length rows));
+            Obs.set sp "rows_out" (Obs.Int (Array.length out))
+          end;
+          Obs.leave tr sp;
+          out )
+  | Product { left; right } ->
+      let ll, fl = compile_block ce (id + 1) o left in
+      let lr, fr = compile_block ce (id + 1 + Ir.size left) o right in
+      ( Array.append lr ll,
+        fun outer ->
+          let l = fl outer in
+          let r = fr outer in
+          let nl = Array.length l and nr = Array.length r in
+          if nl = 0 || nr = 0 then [||]
+          else begin
+            let out = Array.make (nl * nr) [||] in
+            for i = 0 to nl - 1 do
+              let lr = l.(i) in
+              for j = 0 to nr - 1 do
+                out.((i * nr) + j) <- concat r.(j) lr
+              done
+            done;
+            out
+          end )
+  | Hash_join { left; right; keys } ->
+      let ll, fl = compile_block ce (id + 1) o left in
+      let lr, fr = compile_block ce (id + 1 + Ir.size left) o right in
+      let lkey =
+        compile_key ctx ~join:true ll o (List.map (fun k -> k.Ir.outer) keys)
+      and rkey =
+        compile_key ctx ~join:true lr o (List.map (fun k -> k.Ir.inner) keys)
+      in
+      let run =
+        match ce.marks with
+        | Some m when Hashtbl.mem m.fm_joins id ->
+            indexed_join ce id (Hashtbl.find m.fm_joins id) fl lkey fr rkey
+        | _ ->
+            fun outer ->
+              Gov.tick g;
+              let sp = Obs.enter tr "hash_join" in
+              let build = fr outer in
+              let probe = fl outer in
+              let tbl = partition rkey outer build in
+              let out =
+                probe_join g tbl lkey outer probe (fun lrow rrow ->
+                    concat rrow lrow)
+              in
+              with_actual ce.cstats id (fun a ->
+                  a.Ir.a_build <- a.Ir.a_build + Array.length build;
+                  a.Ir.a_probe <- a.Ir.a_probe + Array.length probe;
+                  a.Ir.a_matches <- a.Ir.a_matches + Array.length out);
+              if Obs.enabled tr then begin
+                Obs.set sp "build" (Obs.Int (Array.length build));
+                Obs.set sp "probe" (Obs.Int (Array.length probe));
+                Obs.set sp "rows_out" (Obs.Int (Array.length out))
+              end;
+              Obs.leave tr sp;
+              out
+      in
+      (Array.append lr ll, run)
+  | Filter { input; preds } ->
+      let li, fi = compile_block ce (id + 1) o input in
+      let pass = compile_preds ctx li o preds in
+      ( li,
+        fun outer ->
+          let rows = fi outer in
+          let sp = Obs.enter tr "filter" in
+          let kept = filter_block g (pass outer) rows in
+          if Obs.enabled tr then begin
+            Obs.set sp "candidates" (Obs.Int (Array.length rows));
+            Obs.set sp "survivors" (Obs.Int (Array.length kept))
+          end;
+          Obs.leave tr sp;
+          kept )
+  | Residual { input; conjs } ->
+      let li, fi = compile_block ce (id + 1) o input in
+      ( li,
+        fun outer ->
+          let rows = fi outer in
+          let sp = Obs.enter tr "residual" in
+          let ob = benv_of o outer [] in
+          let kept =
+            filter_block g
+              (fun row ->
+                let full = benv_of li row ob in
+                List.for_all
+                  (fun f -> is_true (I.eval_formula ctx full f))
+                  conjs)
+              rows
+          in
+          if Obs.enabled tr then begin
+            Obs.set sp "candidates" (Obs.Int (Array.length rows));
+            Obs.set sp "survivors" (Obs.Int (Array.length kept))
+          end;
+          Obs.leave tr sp;
+          kept )
+  | Semi { anti; input; sub; keys; residual; _ } ->
+      let li, fi = compile_block ce (id + 1) o input in
+      let ls, fs = compile_block ce (id + 1 + Ir.size input) o sub in
+      let ikey =
+        compile_key ctx ~join:true li o (List.map (fun k -> k.Ir.outer) keys)
+      and skey =
+        compile_key ctx ~join:true ls o (List.map (fun k -> k.Ir.inner) keys)
+      in
+      (* the residual sees the sub row first, then the input row, then
+         the outer row: the input row is prepended to the outer one *)
+      let resid = compile_preds ctx ls (Array.append li o) residual in
+      (* keyless candidates are tried in sub order, keyed ones newest
+         first, as on the tuple path *)
+      let no_residual = residual = [] in
+      let witness ~newest_first outer row (cands : row array) =
+        Array.length cands > 0
+        && (no_residual
+           ||
+           let ro = if Array.length outer = 0 then row else concat row outer in
+           exists_cand resid ro cands ~newest_first 0)
+      in
+      ( li,
+        fun outer ->
+          Gov.tick g;
+          let sp = Obs.enter tr (if anti then "anti_join" else "semi_join") in
+          let sub_rows = fs outer in
+          let rows = fi outer in
+          let kept =
+            match keys with
+            | [] ->
+                filter_block g
+                  (fun row ->
+                    witness ~newest_first:false outer row sub_rows <> anti)
+                  rows
+            | _ ->
+                let tbl = partition skey outer sub_rows in
+                filter_block g
+                  (fun row ->
+                    witness ~newest_first:true outer row
+                      (part tbl (ikey outer row))
+                    <> anti)
+                  rows
+          in
+          with_actual ce.cstats id (fun a ->
+              a.Ir.a_build <- a.Ir.a_build + Array.length sub_rows;
+              a.Ir.a_probe <- a.Ir.a_probe + Array.length rows;
+              a.Ir.a_matches <- a.Ir.a_matches + Array.length kept);
+          if Obs.enabled tr then begin
+            Obs.set sp "sub_rows" (Obs.Int (Array.length sub_rows));
+            Obs.set sp "candidates" (Obs.Int (Array.length rows));
+            Obs.set sp "survivors" (Obs.Int (Array.length kept))
+          end;
+          Obs.leave tr sp;
+          kept )
+  | Resolve { input; binding; scope } ->
+      let li, fi = compile_block ce (id + 1) o input in
+      ( Array.append [| binding.var |] li,
+        fun outer ->
+          Gov.tick g;
+          let rows = fi outer in
+          (* each resolved environment is the new binding in front of the
+             input row, i.e. already in this node's layout *)
+          Array.of_list
+            (List.map
+               (fun (b : I.benv) -> Array.of_list (List.map snd b))
+               (I.resolve_deferred ctx (benv_of o outer []) scope
+                  (Array.to_list (Array.map (fun r -> benv_of li r []) rows))
+                  [ binding ])) )
+  | Prune { input; keep } ->
+      let li, fi = compile_block ce (id + 1) o input in
+      let ixs =
+        Array.of_list
+          (List.filter
+             (fun i -> List.mem li.(i) keep)
+             (List.init (Array.length li) Fun.id))
+      in
+      if Array.length ixs = Array.length li then (li, fi)
       else
-        let sp = Obs.enter (tracer env) ("collection:" ^ name) in
-        let compute () =
-          let tuples =
-            List.concat
-              (List.map2
-                 (fun did d -> exec_disjunct env did head d)
-                 (Ir.coll_child_ids id p) disjuncts)
-          in
-          let tuples =
-            if not (Gov.active (gov env)) then tuples
+        ( Array.map (fun i -> li.(i)) ixs,
+          fun outer ->
+            Array.map (fun r -> Array.map (fun i -> r.(i)) ixs) (fi outer) )
+  | Append ts ->
+      let branches =
+        List.map2 (fun cid b -> compile_block ce cid o b) (Ir.child_ids id t) ts
+      in
+      let l = match branches with [] -> [||] | (l, _) :: _ -> l in
+      (* branches bind the same variables, maybe in another order *)
+      let fs =
+        List.map
+          (fun (lb, fb) ->
+            if lb = l then fb
             else
-              let n = List.length tuples in
-              let allowed = Gov.charge_rows (gov env) n in
-              if allowed >= n then tuples else I.take allowed tuples
-          in
-          let r =
-            Relation.make ~name (Schema.make head.head_attrs) tuples
-          in
-          match (I.conv env.ctx).Conventions.collection with
-          | Conventions.Set -> Relation.dedup r
-          | Conventions.Bag -> r
+              let perm = Array.map (slot lb) l in
+              fun outer ->
+                Array.map
+                  (fun r ->
+                    Array.map (fun j -> if j < 0 then no_tuple else r.(j)) perm)
+                  (fb outer))
+          branches
+      in
+      (l, fun outer -> Array.concat (List.map (fun f -> f outer) fs))
+
+(* A hash join inside an indexed fixpoint rule with a stable [side]: that
+   side's hash table is built on the first round and kept in this
+   closure, and each round probes it with the side that reaches the
+   __delta__ scan. Output rows keep the right-before-left layout. *)
+and indexed_join ce id side fl lkey fr rkey : row -> row array =
+  let g = I.gov ce.cx and tr = I.tracer ce.cx in
+  let fb, bkey, fp, pkey =
+    match side with
+    | `Right -> (fr, rkey, fl, lkey)
+    | `Left -> (fl, lkey, fr, rkey)
+  in
+  let table = ref None in
+  fun outer ->
+    Gov.tick g;
+    let sp = Obs.enter tr "hash_join" in
+    let tbl, build_n =
+      match !table with
+      | Some entry -> entry
+      | None ->
+          let rows = fb outer in
+          let tbl = partition bkey outer rows in
+          let entry = (tbl, Array.length rows) in
+          table := Some entry;
+          with_actual ce.cstats id (fun a ->
+              a.Ir.a_build <- a.Ir.a_build + Array.length rows);
+          entry
+    in
+    let probe = fp outer in
+    let out =
+      probe_join g tbl pkey outer probe (fun prow brow ->
+          match side with
+          | `Right -> concat brow prow
+          | `Left -> concat prow brow)
+    in
+    with_actual ce.cstats id (fun a ->
+        a.Ir.a_probe <- a.Ir.a_probe + Array.length probe;
+        a.Ir.a_matches <- a.Ir.a_matches + Array.length out);
+    if Obs.enabled tr then begin
+      Obs.set sp "build" (Obs.Int build_n);
+      Obs.set sp "probe" (Obs.Int (Array.length probe));
+      Obs.set sp "indexed" (Obs.Bool true);
+      Obs.set sp "rows_out" (Obs.Int (Array.length out))
+    end;
+    Obs.leave tr sp;
+    out
+
+and compile_disjunct ce id (o : layout) (head : head) (d : Ir.disjunct_plan)
+    : row -> Tuple.t list =
+  instrument ce.cstats id List.length (compile_disjunct_node ce id o head d)
+
+and compile_disjunct_node ce id o (head : head) (d : Ir.disjunct_plan) :
+    row -> Tuple.t list =
+  let ctx = ce.cx in
+  let schema = lazy (Schema.make head.head_attrs) in
+  let unassigned a = head_unassigned head a in
+  match d with
+  | Project { input; assigns } ->
+      let li, fi = compile_block ce (id + 1) o input in
+      let cells =
+        Array.of_list
+          (List.map
+             (fun a ->
+               match List.assoc_opt a assigns with
+               | Some t -> compile_term ctx li o t
+               | None -> fun _ _ -> unassigned a)
+             head.head_attrs)
+      in
+      fun outer ->
+        let rows = fi outer in
+        let schema = Lazy.force schema in
+        Array.to_list
+          (Array.map
+             (fun row ->
+               Tuple.make schema (Array.map (fun c -> c outer row) cells))
+             rows)
+  | Aggregate { input; keys; scope_vars; post; assigns } ->
+      let li, fi = compile_block ce (id + 1) o input in
+      let g = I.gov ctx and tr = I.tracer ctx in
+      let gkey =
+        compile_key ctx ~join:false li o
+          (List.map (fun (v, a) -> Attr (v, a)) keys)
+      in
+      let post_c = List.map (compile_gformula ctx li o scope_vars) post in
+      let cells =
+        Array.of_list
+          (List.map
+             (fun a ->
+               match List.assoc_opt a assigns with
+               | Some t -> compile_gterm ctx li o t
+               | None -> fun _ _ _ -> unassigned a)
+             head.head_attrs)
+      in
+      let emit outer (group : row array) =
+        let schema = Lazy.force schema in
+        if Array.length group > 0 then
+          let rep = group.(0) in
+          if List.for_all (fun f -> is_true (f outer rep group)) post_c then
+            Some
+              (Tuple.make schema (Array.map (fun c -> c outer rep group) cells))
+          else None
+        else
+          (* γ∅ over no rows: the reference's empty-group semantics, with
+             the outer environment as representative *)
+          let rep = benv_of o outer [] in
+          let gt t = I.eval_gterm ctx ~rep ~group:[] ~scope_vars t in
+          if
+            List.for_all
+              (fun f ->
+                is_true (I.eval_gformula ctx ~rep ~group:[] ~scope_vars f))
+              post
+          then
+            Some
+              (Tuple.make schema
+                 (Array.of_list
+                    (List.map
+                       (fun a ->
+                         match List.assoc_opt a assigns with
+                         | Some t -> gt t
+                         | None -> unassigned a)
+                       head.head_attrs)))
+          else None
+      in
+      fun outer ->
+        let rows = fi outer in
+        Gov.tick g;
+        let sp = Obs.enter tr "hash_aggregate" in
+        let groups =
+          if keys = [] then [| rows |] else (partition gkey outer rows).parts
         in
-        match compute () with
-        | r ->
-            if Obs.enabled (tracer env) then
-              Obs.set sp "rows_emitted" (Obs.Int (Relation.cardinality r));
-            Obs.leave (tracer env) sp;
-            Gov.leave_collection (gov env);
-            r
-        | exception Eval_error e ->
-            Obs.leave (tracer env) sp;
-            Gov.leave_collection (gov env);
-            raise (Eval_error (Err.in_collection name e))
-        | exception Err.Guard_error e ->
-            Obs.leave (tracer env) sp;
-            Gov.leave_collection (gov env);
-            raise (Eval_error (Err.in_collection name e))
-        | exception e ->
-            Obs.leave (tracer env) sp;
-            Gov.leave_collection (gov env);
-            raise e)
+        if Obs.enabled tr then begin
+          Obs.set sp "rows_in" (Obs.Int (Array.length rows));
+          Obs.set sp "keys" (Obs.Int (List.length keys));
+          Obs.set sp "buckets" (Obs.Int (Array.length groups))
+        end;
+        Obs.leave tr sp;
+        List.filter_map (emit outer) (Array.to_list groups)
+
+and compile_coll ce id (o : layout) (p : Ir.coll_plan) : row -> Relation.t =
+  instrument ce.cstats id Relation.cardinality
+    (match p with
+    | Fallback { coll; _ } ->
+        fun outer -> I.eval_collection ce.cx (benv_of o outer []) coll
+    | Union { head; disjuncts } ->
+        let ds =
+          List.map2
+            (fun did d -> compile_disjunct ce did o head d)
+            (Ir.coll_child_ids id p) disjuncts
+        in
+        fun outer ->
+          union_coll ce.cx head (fun () -> List.concat_map (fun d -> d outer) ds))
+
+(* A collection plan ready to run at top level: compiled once on the
+   batched path, interpreted per call on the tuple path. *)
+let coll_runner env id (p : Ir.coll_plan) : unit -> Relation.t =
+  if env.batched then
+    let f =
+      compile_coll { cx = env.ctx; cstats = env.stats; marks = None } id
+        [||] p
+    in
+    fun () -> f [||]
+  else fun () -> exec_coll env id p
 
 (* ------------------------------------------------------------------ *)
 (* Recursive strata: hash-based fixpoints over plans                   *)
@@ -1029,6 +1286,7 @@ let naive_fixpoint env (dps : (Ir.def_plan * int) list) =
   if Obs.enabled (tracer env) then
     Obs.set sp "stratum"
       (Obs.Str (String.concat "," (List.map (fun (d, _) -> d.Ir.dname) dps)));
+  let runs = List.map (fun (dp, id) -> (dp, id, coll_runner env id dp.Ir.dplan)) dps in
   let changed = ref true in
   let iterations = ref 0 in
   while !changed do
@@ -1039,29 +1297,26 @@ let naive_fixpoint env (dps : (Ir.def_plan * int) list) =
     then begin
       let isp = Obs.enter (tracer env) "iteration" in
       List.iter
-        (fun (dp, id) ->
+        (fun (dp, id, run) ->
           let n = dp.Ir.dname in
           let current = Option.get (I.idb_get ctx n) in
-          let next =
-            Relation.dedup
-              (Relation.union current (exec_coll env id dp.Ir.dplan))
-          in
+          let next = Relation.dedup (Relation.union current (run ())) in
           let delta =
             Relation.cardinality next - Relation.cardinality current
           in
-          with_actual env id (fun a -> a.Ir.a_deltas <- delta :: a.Ir.a_deltas);
+          with_actual env.stats id (fun a -> a.Ir.a_deltas <- delta :: a.Ir.a_deltas);
           if Obs.enabled (tracer env) then
             Obs.set isp ("delta:" ^ n) (Obs.Int delta);
           if not (Relation.equal_set next current) then begin
             I.idb_set ctx n next;
             changed := true
           end)
-        dps;
+        runs;
       Obs.leave (tracer env) isp
     end
   done;
   List.iter
-    (fun (_, id) -> with_actual env id (fun a -> a.Ir.a_iterations <- !iterations))
+    (fun (_, id) -> with_actual env.stats id (fun a -> a.Ir.a_iterations <- !iterations))
     dps;
   Obs.set sp "iterations" (Obs.Int !iterations);
   Obs.leave (tracer env) sp
@@ -1075,10 +1330,10 @@ let seminaive_fixpoint env component (dps : (Ir.def_plan * int) list) =
   List.iter
     (fun (dp, id) ->
       let n = dp.Ir.dname in
-      let seed = Relation.dedup (exec_coll env id dp.Ir.dplan) in
+      let seed = Relation.dedup (coll_runner env id dp.Ir.dplan ()) in
       I.idb_set ctx n seed;
       I.idb_set ctx (delta_name n) seed;
-      with_actual env id (fun a ->
+      with_actual env.stats id (fun a ->
           a.Ir.a_deltas <- Relation.cardinality seed :: a.Ir.a_deltas);
       if Obs.enabled (tracer env) then
         Obs.set ssp ("delta:" ^ n) (Obs.Int (Relation.cardinality seed)))
@@ -1104,7 +1359,7 @@ let seminaive_fixpoint env component (dps : (Ir.def_plan * int) list) =
               List.init occurrences (fun i ->
                   (* the substituted plan is shape-identical, so node ids
                      carry over to the delta rewrite *)
-                  exec_coll env id (Ir.subst_scan component i dp.Ir.dplan))
+                  coll_runner env id (Ir.subst_scan component i dp.Ir.dplan) ())
             in
             let full = Option.get (I.idb_get ctx n) in
             let attrs =
@@ -1120,7 +1375,7 @@ let seminaive_fixpoint env component (dps : (Ir.def_plan * int) list) =
                 derived
             in
             let fresh = Relation.dedup fresh in
-            with_actual env id (fun a ->
+            with_actual env.stats id (fun a ->
                 a.Ir.a_deltas <- Relation.cardinality fresh :: a.Ir.a_deltas);
             (n, fresh))
           dps
@@ -1144,7 +1399,7 @@ let seminaive_fixpoint env component (dps : (Ir.def_plan * int) list) =
     end
   done;
   List.iter
-    (fun (_, id) -> with_actual env id (fun a -> a.Ir.a_iterations <- !iterations))
+    (fun (_, id) -> with_actual env.stats id (fun a -> a.Ir.a_iterations <- !iterations))
     dps;
   Obs.set sp "iterations" (Obs.Int !iterations);
   Obs.leave (tracer env) sp;
@@ -1154,13 +1409,14 @@ let seminaive_fixpoint env component (dps : (Ir.def_plan * int) list) =
    [seminaive_fixpoint], made incremental in three ways. One delta rule
    per component-scan occurrence, restricted to the single disjunct that
    contains the occurrence — the other disjuncts are independent of that
-   delta and are skipped instead of re-run every round. Per-rule caches
-   ([fix_cache]) memoize every component-free subtree and keep hash-join
-   build tables alive across rounds, so the stable side of a delta join
-   is built once and only probed thereafter. And a per-definition seen-set
-   of canonical tuple keys replaces the per-round dedup/minus against the
-   accumulated relation, so per-round cost tracks the delta, not the
-   closure. Rules run on the batched block pipeline; budgets charge at the
+   delta and are skipped instead of re-run every round. Each rule is
+   compiled once with its [fix_marks], so its pipeline memoizes every
+   component-free subtree and keeps hash-join build tables alive across
+   rounds: the stable side of a delta join is built once and only probed
+   thereafter. And a per-definition seen-set of value keys (the cells in
+   head order, equal exactly when the canonical tuple keys are) replaces
+   the per-round dedup/minus against the accumulated relation, so
+   per-round cost tracks the delta, not the closure. Rules run on the batched block pipeline; budgets charge at the
    same points as the tuple path (a tick plus a row charge per rule run,
    iteration checks once per round). *)
 let indexed_seminaive_fixpoint env component (dps : (Ir.def_plan * int) list)
@@ -1184,16 +1440,18 @@ let indexed_seminaive_fixpoint env component (dps : (Ir.def_plan * int) list)
           (* Fallback plans never pass [Ir.seminaive_eligible] *)
           | Ir.Fallback { head; _ } -> (head, [])
         in
-        let seed = Relation.dedup (exec_coll env id dp.Ir.dplan) in
+        let seed = Relation.dedup (coll_runner env id dp.Ir.dplan ()) in
         I.idb_set ctx n seed;
         I.idb_set ctx (delta_name n) seed;
-        with_actual env id (fun a ->
+        with_actual env.stats id (fun a ->
             a.Ir.a_deltas <- Relation.cardinality seed :: a.Ir.a_deltas);
         if Obs.enabled (tracer env) then
           Obs.set ssp ("delta:" ^ n) (Obs.Int (Relation.cardinality seed));
-        let seen = Hashtbl.create (max 64 (4 * Relation.cardinality seed)) in
+        let arity = List.length head.head_attrs in
+        let key tp = Array.init arity (Tuple.nth tp) in
+        let seen = Key.Tbl.create (max 64 (4 * Relation.cardinality seed)) in
         List.iter
-          (fun tp -> Hashtbl.replace seen (Tuple.key tp) ())
+          (fun tp -> Key.Tbl.replace seen (key tp) ())
           (Relation.tuples seed);
         let dids = Ir.coll_child_ids id dp.Ir.dplan in
         let occurrences = Ir.count_scans_coll component dp.Ir.dplan in
@@ -1210,10 +1468,17 @@ let indexed_seminaive_fixpoint env component (dps : (Ir.def_plan * int) list)
                     | _ -> assert false
                   in
                   let sd, did = pick disjuncts subst dids in
-                  (sd, did, make_fix_cache banned did sd)
+                  let ce =
+                    {
+                      cx = ctx;
+                      cstats = env.stats;
+                      marks = Some (make_fix_marks banned did sd);
+                    }
+                  in
+                  compile_disjunct ce did [||] head sd
               | Ir.Fallback _ -> assert false)
         in
-        (n, id, head, Schema.make head.head_attrs, rules, seen))
+        (n, id, Schema.make head.head_attrs, rules, key, seen))
       dps
   in
   Obs.leave (tracer env) ssp;
@@ -1230,16 +1495,14 @@ let indexed_seminaive_fixpoint env component (dps : (Ir.def_plan * int) list)
       let isp = Obs.enter (tracer env) "iteration" in
       let new_deltas =
         List.map
-          (fun (n, id, head, schema, rules, seen) ->
+          (fun (n, id, schema, rules, key, seen) ->
             let fresh = ref [] in
             List.iter
-              (fun (sd, did, fc) ->
+              (fun rule ->
                 Gov.tick (gov env);
                 if Gov.enter_collection (gov env) then begin
                   let tuples =
-                    match
-                      exec_disjunct { env with fix = Some fc } did head sd
-                    with
+                    match rule [||] with
                     | tuples -> tuples
                     | exception Eval_error e ->
                         Gov.leave_collection (gov env);
@@ -1261,9 +1524,9 @@ let indexed_seminaive_fixpoint env component (dps : (Ir.def_plan * int) list)
                   Gov.leave_collection (gov env);
                   List.iter
                     (fun tp ->
-                      let k = Tuple.key tp in
-                      if not (Hashtbl.mem seen k) then begin
-                        Hashtbl.add seen k ();
+                      let k = key tp in
+                      if not (Key.Tbl.mem seen k) then begin
+                        Key.Tbl.add seen k ();
                         fresh := tp :: !fresh
                       end)
                     tuples
@@ -1275,7 +1538,7 @@ let indexed_seminaive_fixpoint env component (dps : (Ir.def_plan * int) list)
       List.iter
         (fun (n, id, fresh) ->
           let card = Relation.cardinality fresh in
-          with_actual env id (fun a -> a.Ir.a_deltas <- card :: a.Ir.a_deltas);
+          with_actual env.stats id (fun a -> a.Ir.a_deltas <- card :: a.Ir.a_deltas);
           if Obs.enabled (tracer env) then
             Obs.set isp ("delta:" ^ n) (Obs.Int card);
           (* [fresh] is disjoint from the accumulated relation by the
@@ -1291,7 +1554,7 @@ let indexed_seminaive_fixpoint env component (dps : (Ir.def_plan * int) list)
   done;
   List.iter
     (fun (_, id, _, _, _, _) ->
-      with_actual env id (fun a -> a.Ir.a_iterations <- !iterations))
+      with_actual env.stats id (fun a -> a.Ir.a_iterations <- !iterations))
     defs;
   Obs.set sp "iterations" (Obs.Int !iterations);
   Obs.leave (tracer env) sp;
@@ -1303,7 +1566,8 @@ let indexed_seminaive_fixpoint env component (dps : (Ir.def_plan * int) list)
 let exec_stratum ?(fixpoint = `Indexed) env base (s : Ir.stratum) =
   let ctx = env.ctx in
   match s with
-  | Ir.Nonrecursive dp -> I.idb_set ctx dp.dname (exec_coll env base dp.dplan)
+  | Ir.Nonrecursive dp ->
+      I.idb_set ctx dp.dname (coll_runner env base dp.dplan ())
   | Ir.Recursive dps ->
       let component = List.map (fun d -> d.Ir.dname) dps in
       let dps_ids =
@@ -1364,7 +1628,7 @@ let compile ?conv ?externals ?strategy ?tracer ?guard ~db (prog : program) =
 
 let exec_program ?stats ?(batched = true) ?(fixpoint = `Indexed) ctx
     (pp : Ir.program_plan) : Eval.outcome =
-  let env = { ctx; outer = []; stats; batched; fix = None } in
+  let env = { ctx; outer = []; stats; batched } in
   let tracer = I.tracer ctx in
   let counter = ref 0 in
   let stratum_base s =
@@ -1394,7 +1658,7 @@ let exec_program ?stats ?(batched = true) ?(fixpoint = `Indexed) ctx
   end;
   try
     match pp.main with
-    | Ir.Main_coll p -> Eval.Rows (exec_coll env !counter p)
+    | Ir.Main_coll p -> Eval.Rows (coll_runner env !counter p ())
     | Ir.Main_sentence f -> Eval.Truth (I.eval_formula ctx [] f)
   with
   | Err.Guard_error e -> raise (Eval_error e)
@@ -1436,14 +1700,14 @@ let run_truth ?conv ?externals ?strategy ?tracer ?guard ?batched ?fixpoint ~db
    stats off (node ids are irrelevant without a stats table). *)
 
 let exec_pipeline ctx ?(outer = []) (t : Ir.t) : I.benv list =
-  exec_rows { ctx; outer; stats = None; batched = false; fix = None } 0 t
+  exec_rows { ctx; outer; stats = None; batched = false } 0 t
 
 let exec_collection ctx (p : Ir.coll_plan) : Relation.t =
-  exec_coll { ctx; outer = []; stats = None; batched = false; fix = None } 0 p
+  exec_coll { ctx; outer = []; stats = None; batched = false } 0 p
 
 let exec_stratum_plan ctx (s : Ir.stratum) : unit =
   exec_stratum
-    { ctx; outer = []; stats = None; batched = false; fix = None }
+    { ctx; outer = []; stats = None; batched = false }
     0 s
 
 (* ------------------------------------------------------------------ *)

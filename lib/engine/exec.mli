@@ -34,17 +34,19 @@ val exec_program :
     reference evaluator.
 
     [batched] (default [true]) selects the block-at-a-time pipeline:
-    operators work on row arrays with amortized governor probes,
-    buffer-reused (or memoized whole-tuple) hash keys, and constant-time
-    group appends. Both paths emit the same rows in the same order;
-    [batched:false] is the tuple-at-a-time baseline kept for ablation.
+    rows are slot arrays (one tuple per bound variable, at a position
+    fixed per plan node), every node's terms, predicates and keys are
+    compiled once into closures, hash tables key on values ([Arc_value.Key])
+    and governor probes are amortized per block. Both paths emit the same
+    rows in the same order; [batched:false] is the tuple-at-a-time
+    baseline over binding environments, kept for ablation.
 
     [fixpoint] (default [`Indexed]) selects the seminaive fixpoint
     implementation for recursive strata: [`Indexed] runs one delta rule
     per component-scan occurrence on the batched pipeline with
     persistent caches — hash-join build tables and component-free
-    subtree results survive across rounds, and a seen-set of canonical
-    tuple keys replaces per-round dedup/diff — while [`Tuple] is the
+    subtree results survive across rounds, and a seen-set of tuple value
+    keys replaces per-round dedup/diff — while [`Tuple] is the
     legacy per-occurrence whole-plan re-execution kept as the ablation
     baseline (BENCH_9). Both produce identical relations and trip
     governor budgets at the same rounds.

@@ -489,15 +489,18 @@ let reorder_pipeline (env : env) (t : Ir.t) : Ir.t =
   let rec go t =
     match t with
     | Ir.Product _ | Ir.Filter _ ->
-        (* recurse into units first, then rebuild this region *)
-        let t =
+        (* recurse into the region's units first, then rebuild the whole
+           region once, so that all of its predicates (say, one Filter per
+           conjunct of a multi-column equijoin) can become keys of the
+           same hash join *)
+        let rec units t =
           match t with
           | Ir.Product { left; right } ->
-              Ir.Product { left = go left; right = go right }
-          | Ir.Filter f -> Ir.Filter { f with input = go f.input }
-          | t -> t
+              Ir.Product { left = units left; right = units right }
+          | Ir.Filter f -> Ir.Filter { f with input = units f.input }
+          | t -> go t
         in
-        reorder_region env t
+        reorder_region env (units t)
     | Ir.Residual r -> Residual { r with input = go r.input }
     | Ir.Semi s ->
         let t = Ir.Semi { s with input = go s.input } in

@@ -1,6 +1,20 @@
 module Value = Arc_value.Value
 
-type t = { name : string option; schema : Schema.t; rows : Tuple.t list }
+(* [distinct] and [set_view] memoize {!dedup}, filled on its first call:
+   [distinct] records that [rows] has no duplicates, [set_view] holds the
+   deduplicated relation when it does. Rows never change after
+   construction, so the memo stays valid for the record's lifetime; every
+   operation builds a fresh record through [mk], which starts unknown. *)
+type t = {
+  name : string option;
+  schema : Schema.t;
+  rows : Tuple.t list;
+  mutable distinct : bool;
+  mutable set_view : t option;
+}
+
+let mk name schema rows =
+  { name; schema; rows; distinct = false; set_view = None }
 
 let make ?name schema rows =
   List.iter
@@ -8,16 +22,16 @@ let make ?name schema rows =
       if not (Schema.equal (Tuple.schema tp) schema) then
         invalid_arg "Relation.make: tuple schema mismatch")
     rows;
-  { name; schema; rows }
+  mk name schema rows
 
 let of_rows ?name attrs rows =
   let schema = Schema.make attrs in
-  let mk vs =
+  let mk_row vs =
     if List.length vs <> Schema.arity schema then
       invalid_arg "Relation.of_rows: row arity mismatch";
     Tuple.make schema (Array.of_list vs)
   in
-  { name; schema; rows = List.map mk rows }
+  mk name schema (List.map mk_row rows)
 
 let empty ?name attrs = of_rows ?name attrs []
 
@@ -28,32 +42,46 @@ let cardinality t = List.length t.rows
 let is_empty t = t.rows = []
 
 let dedup t =
-  let seen = Hashtbl.create 64 in
-  let rows =
-    List.filter
-      (fun tp ->
-        let k = Tuple.key tp in
-        if Hashtbl.mem seen k then false
-        else (
-          Hashtbl.add seen k ();
-          true))
-      t.rows
-  in
-  { t with rows }
+  if t.distinct then t
+  else
+    match t.set_view with
+    | Some v -> v
+    | None ->
+        let seen = Hashtbl.create 64 in
+        let dups = ref false in
+        let rows =
+          List.filter
+            (fun tp ->
+              let k = Tuple.key tp in
+              if Hashtbl.mem seen k then (
+                dups := true;
+                false)
+              else (
+                Hashtbl.add seen k ();
+                true))
+            t.rows
+        in
+        if not !dups then begin
+          t.distinct <- true;
+          t
+        end
+        else begin
+          let v = mk t.name t.schema rows in
+          v.distinct <- true;
+          t.set_view <- Some v;
+          v
+        end
 
 let add t tp =
   if not (Schema.equal (Tuple.schema tp) t.schema) then
     invalid_arg "Relation.add: tuple schema mismatch";
-  { t with rows = t.rows @ [ tp ] }
+  mk t.name t.schema (t.rows @ [ tp ])
 
-let select p t = { t with rows = List.filter p t.rows }
+let select p t = mk t.name t.schema (List.filter p t.rows)
 
 let project attrs t =
-  {
-    name = None;
-    schema = Schema.project t.schema attrs;
-    rows = List.map (fun tp -> Tuple.project tp attrs) t.rows;
-  }
+  mk None (Schema.project t.schema attrs)
+    (List.map (fun tp -> Tuple.project tp attrs) t.rows)
 
 let rename mapping t =
   let attrs' =
@@ -62,22 +90,14 @@ let rename mapping t =
       (Schema.attrs t.schema)
   in
   let schema' = Schema.make attrs' in
-  {
-    name = None;
-    schema = schema';
-    rows = List.map (fun tp -> Tuple.rename_schema tp schema') t.rows;
-  }
+  mk None schema' (List.map (fun tp -> Tuple.rename_schema tp schema') t.rows)
 
 let product t1 t2 =
   let schema = Schema.union t1.schema t2.schema in
-  {
-    name = None;
-    schema;
-    rows =
-      List.concat_map
-        (fun r1 -> List.map (fun r2 -> Tuple.concat r1 r2) t2.rows)
-        t1.rows;
-  }
+  mk None schema
+    (List.concat_map
+       (fun r1 -> List.map (fun r2 -> Tuple.concat r1 r2) t2.rows)
+       t1.rows)
 
 let union t1 t2 =
   if not (Schema.equal_names t1.schema t2.schema) then
@@ -86,7 +106,7 @@ let union t1 t2 =
     if Schema.equal (Tuple.schema tp) t1.schema then tp
     else Tuple.project tp (Schema.attrs t1.schema)
   in
-  { name = None; schema = t1.schema; rows = t1.rows @ List.map align t2.rows }
+  mk None t1.schema (t1.rows @ List.map align t2.rows)
 
 let counts rows =
   let h = Hashtbl.create 64 in
@@ -112,7 +132,7 @@ let minus t1 t2 =
         | _ -> true)
       t1.rows
   in
-  { name = None; schema = t1.schema; rows }
+  mk None t1.schema rows
 
 let intersect t1 t2 =
   if not (Schema.equal_names t1.schema t2.schema) then
@@ -129,7 +149,7 @@ let intersect t1 t2 =
         | _ -> false)
       t1.rows
   in
-  { name = None; schema = t1.schema; rows }
+  mk None t1.schema rows
 
 (* Signed deltas: multiplicities keyed by [Tuple.key] — the same canonical
    serialization [dedup]/[minus]/[intersect] use, so Null matches Null and
@@ -179,7 +199,7 @@ let apply_delta t (delta : (Tuple.t * int) list) =
       if n > 0 then
         invalid_arg "Relation.apply_delta: delete exceeds multiplicity")
     to_remove;
-  { t with rows = rows @ inserts }
+  mk t.name t.schema (rows @ inserts)
 
 let diff_signed t_old t_new =
   if not (Schema.equal_names t_old.schema t_new.schema) then
@@ -233,10 +253,10 @@ let join t1 t2 =
           t2.rows)
       t1.rows
   in
-  { name = None; schema; rows }
+  mk None schema rows
 
 let sort t =
-  { t with rows = List.sort Tuple.compare t.rows }
+  mk t.name t.schema (List.sort Tuple.compare t.rows)
 
 let equal_set t1 t2 =
   Schema.equal_names t1.schema t2.schema

@@ -25,7 +25,11 @@ val is_empty : t -> bool
 
 val dedup : t -> t
 (** Set-semantics view: one representative per distinct tuple, preserving
-    first-occurrence order. *)
+    first-occurrence order. Memoized per relation value on first use: a
+    relation already free of duplicates is returned as is, and one with
+    duplicates returns the same deduplicated relation on every later call.
+    Every operation below builds a new value, which is deduplicated
+    afresh. *)
 
 val add : t -> Tuple.t -> t
 

@@ -11,6 +11,10 @@ val of_alist : (string * Arc_value.Value.t) list -> t
 
 val schema : t -> Schema.t
 val get : t -> string -> Arc_value.Value.t
+
+val nth : t -> int -> Arc_value.Value.t
+(** The cell at a position of the tuple's schema ({!Schema.index}). *)
+
 val values : t -> Arc_value.Value.t list
 
 val project : t -> string list -> t

@@ -44,9 +44,19 @@ let dedup values =
         true))
     values
 
-let non_null values = List.filter (fun v -> not (Value.is_null v)) values
+let non_null values =
+  if List.exists Value.is_null values then
+    List.filter (fun v -> not (Value.is_null v)) values
+  else values
 
-let sum_values vs = List.fold_left Value.add (Value.Int 0) vs
+(* [Value.add], with the all-integer case inline *)
+let sum_values vs =
+  List.fold_left
+    (fun acc v ->
+      match (acc, v) with
+      | Value.Int a, Value.Int b -> Value.Int (a + b)
+      | _ -> Value.add acc v)
+    (Value.Int 0) vs
 
 let empty_result (empty_conv : Conventions.agg_empty) =
   match empty_conv with

@@ -253,11 +253,37 @@ let tc_main =
             eq (attr "Q" "dst") (attr "t" "dst");
           ]))
 
+(* a two-key join whose key pairs cross attribute names (p.s = r.t,
+   p.t = r.s): both sides' key attributes are the same set, but only
+   (1,2) joins *)
+let db_swapped =
+  Database.of_list
+    [
+      ( "P",
+        Relation.of_rows [ "s"; "t" ]
+          [ [ V.Int 1; V.Int 2 ]; [ V.Int 3; V.Int 4 ] ] );
+      ( "R",
+        Relation.of_rows [ "s"; "t" ]
+          [ [ V.Int 2; V.Int 1 ]; [ V.Int 3; V.Int 4 ] ] );
+    ]
+
+let swapped_keys =
+  collection "Q" [ "s"; "t" ]
+    (exists [ bind "p" "P"; bind "r" "R" ]
+       (conj
+          [
+            eq (attr "p" "s") (attr "r" "t");
+            eq (attr "p" "t") (attr "r" "s");
+            eq (attr "Q" "s") (attr "p" "s");
+            eq (attr "Q" "t") (attr "p" "t");
+          ]))
+
 let example_cases =
   [
     ("division-trc", db_division, [], Coll division_trc);
     ("analytics-rollup", db_analytics, [], Coll analytics_rollup);
     ("tc-chain", db_chain 12, tc_defs, Coll tc_main);
+    ("two-key-swapped", db_swapped, [], Coll swapped_keys);
   ]
 
 let () =

@@ -55,6 +55,84 @@ let explain_of ?passes ~db q =
 
 (* ---------------------------------------------------------------- *)
 
+(* p.s = r.t ∧ p.t = r.s: pushdown leaves one filter per conjunct over the
+   product; the reorder pass must see both and form one two-key join *)
+let db_swapped =
+  Database.of_list
+    [
+      ( "P",
+        Relation.of_rows [ "s"; "t" ]
+          [ [ V.Int 1; V.Int 2 ]; [ V.Int 3; V.Int 4 ] ] );
+      ( "R",
+        Relation.of_rows [ "s"; "t" ]
+          [ [ V.Int 2; V.Int 1 ]; [ V.Int 3; V.Int 4 ] ] );
+    ]
+
+let swapped_join =
+  collection "Q" [ "s"; "t" ]
+    (exists [ bind "p" "P"; bind "r" "R" ]
+       (conj
+          [
+            eq (attr "p" "s") (attr "r" "t");
+            eq (attr "p" "t") (attr "r" "s");
+            eq (attr "Q" "s") (attr "p" "s");
+            eq (attr "Q" "t") (attr "p" "t");
+          ]))
+
+let multi_key_join () =
+  let env = Lower.env_of_db ~db:(Database.analyze db_swapped) ~defs:[] in
+  let opt, _ =
+    Opt.optimize_coll env (Lower.lower_collection env swapped_join)
+  in
+  let module Ir = Arc_plan.Ir in
+  let rec joins (t : Ir.t) =
+    match t with
+    | Ir.Hash_join { left; right; keys } ->
+        List.length keys :: (joins left @ joins right)
+    | Ir.Product { left; right } -> joins left @ joins right
+    | Ir.Filter _ -> Alcotest.fail "a join predicate is left as a filter"
+    | Ir.Prune { input; _ } | Ir.Residual { input; _ } -> joins input
+    | _ -> []
+  in
+  let keys =
+    match opt with
+    | Ir.Union { disjuncts = [ Ir.Project { input; _ } ]; _ } -> joins input
+    | _ -> Alcotest.fail "expected one projected disjunct"
+  in
+  Alcotest.(check (list int)) "one hash join on both key pairs" [ 2 ] keys;
+  let rows = Exec.run_rows ~db:db_swapped (program (Coll swapped_join)) in
+  Alcotest.(check (list string)) "only (1,2) joins"
+    (bag (Relation.of_rows [ "s"; "t" ] [ [ V.Int 1; V.Int 2 ] ]))
+    (bag rows)
+
+(* Set-semantics scans read a stored relation through its memoized set
+   view: repeated queries and replaced relations must still see exactly
+   the distinct tuples of the current value. *)
+let scan_set_view () =
+  let count_q =
+    collection "Q" [ "n" ]
+      (exists ~grouping:group_all [ bind "r" "R" ]
+         (eq (attr "Q" "n") (count (attr "r" "A"))))
+  in
+  let count ?(conv = Conventions.sql_set) db =
+    match
+      Relation.tuples (Exec.run_rows ~conv ~db (program (Coll count_q)))
+    with
+    | [ tp ] -> Tuple.get tp "n"
+    | _ -> Alcotest.fail "expected one row"
+  in
+  let check msg n v =
+    Alcotest.(check string) msg (V.to_string (V.Int n)) (V.to_string v)
+  in
+  let rows vs = Relation.of_rows [ "A" ] (List.map (fun v -> [ V.Int v ]) vs) in
+  let db = Database.of_list [ ("R", rows [ 1; 1; 2 ]) ] in
+  check "first set query collapses duplicates" 2 (count db);
+  check "second set query collapses them too" 2 (count db);
+  check "bag query still sees them" 3 (count ~conv:Conventions.sql db);
+  let db = Database.add db "R" (rows [ 1; 2; 2; 3; 3 ]) in
+  check "replaced relation is deduplicated afresh" 3 (count db);
+  check "and again" 3 (count db)
+
 let lowering_shape () =
   let raw, opt, report = explain_of ~db:Data.db_rs join_query in
   Alcotest.(check bool) "raw plan enumerates a product" true
@@ -488,6 +566,8 @@ let () =
           Alcotest.test_case "catalog queries lower without fallback" `Quick
             no_fallback_shape;
           Alcotest.test_case "negated exists decorrelates" `Quick semi_shape;
+          Alcotest.test_case "multi-column equijoin forms one two-key join"
+            `Quick multi_key_join;
         ] );
       ( "rewrites",
         [ Alcotest.test_case "every pass prefix preserves results" `Quick
@@ -496,6 +576,8 @@ let () =
         [
           Alcotest.test_case "null hash keys respect null logic" `Quick
             null_key_semantics;
+          Alcotest.test_case "set scans see the current distinct tuples"
+            `Quick scan_set_view;
           Alcotest.test_case "plan-level seminaive = naive = reference" `Quick
             plan_seminaive;
           Alcotest.test_case "seminaive strategy engages on plans" `Quick

@@ -284,6 +284,35 @@ let prop_delta_inverse =
       Relation.equal_bag r
         (Relation.apply_delta s' (List.map (fun (tp, n) -> (tp, -n)) d)))
 
+(* [dedup] memoizes its answer per relation value; every operation
+   builds a fresh value, so a duplicate it introduces is removed again *)
+let rel_dedup_memo () =
+  let r = Relation.of_rows [ "A" ] [ [ i 1 ]; [ i 2 ] ] in
+  let card rel = Relation.cardinality (Relation.dedup rel) in
+  Alcotest.(check bool) "distinct relation is its own set view" true
+    (Relation.dedup r == r);
+  Alcotest.(check bool) "memoized answer is stable" true
+    (Relation.dedup r == r);
+  let one = List.hd (Relation.tuples r) in
+  Alcotest.(check int) "add" 2 (card (Relation.add r one));
+  Alcotest.(check int) "union" 2 (card (Relation.union r r));
+  Alcotest.(check int) "delta" 2 (card (Relation.apply_delta r [ (one, 1) ]));
+  let bag = Relation.add r one in
+  let view = Relation.dedup bag in
+  Alcotest.(check int) "bag deduplicates" 2 (Relation.cardinality view);
+  Alcotest.(check bool) "set view is memoized" true (Relation.dedup bag == view);
+  Alcotest.(check int) "bag itself is unchanged" 3 (Relation.cardinality bag);
+  Alcotest.(check int) "select over a memoized bag" 2
+    (card (Relation.select (fun _ -> true) bag));
+  Alcotest.(check int) "add to a set view" 2 (card (Relation.add view one));
+  (* replacing a memoized relation in a database dedups the new value *)
+  let db = Database.of_list [ ("R", r) ] in
+  ignore (Relation.dedup (Database.find db "R"));
+  let db = Database.add db "R" (Relation.add (Relation.add r one) one) in
+  Alcotest.(check int) "replaced relation" 2 (card (Database.find db "R"));
+  Alcotest.(check int) "replaced relation keeps its bag" 4
+    (Relation.cardinality (Database.find db "R"))
+
 let () =
   Alcotest.run "arc_relation"
     [
@@ -300,6 +329,7 @@ let () =
       ( "relation",
         [
           Alcotest.test_case "dedup" `Quick rel_dedup;
+          Alcotest.test_case "dedup memo invalidation" `Quick rel_dedup_memo;
           Alcotest.test_case "dedup collision regression" `Quick
             rel_dedup_collisions;
           Alcotest.test_case "bag ops" `Quick rel_ops;

@@ -203,6 +203,88 @@ let prop_sum_append =
       in
       s (xs @ ys) = s xs + s ys)
 
+(* The value-key hash/equality must partition values exactly as
+   [V.canonical] strings do. The generator favours values whose canonical
+   forms collide or nearly collide: Int/Float pairs, signed zeros and NaNs,
+   floats at the 4e18 cut-off, max_int, NULL, and strings holding the
+   form's own delimiters. *)
+let cutoff = 4.0e18
+
+let edge_floats =
+  [ 0.0; -0.0; 1.0; -1.0; 0.5; -2.5; nan; -.nan; infinity; neg_infinity;
+    cutoff; -.cutoff; Float.succ cutoff; Float.pred cutoff;
+    Float.succ (-.cutoff); float_of_int max_int; float_of_int min_int;
+    ldexp 1.0 62; 1e15; 1e15 +. 0.5 ]
+
+let edge_ints =
+  [ 0; 1; -1; 2; max_int; min_int; 4_000_000_000_000_000_000;
+    -4_000_000_000_000_000_000; 4_000_000_000_000_000_001 ]
+
+let edge_strings = [ ""; ";"; ":"; "d1;"; "s1:;"; "1"; "1.0"; "n;"; "a;b:c" ]
+
+let key_agrees a b =
+  let same = String.equal (V.canonical a) (V.canonical b) in
+  Arc_value.Key.equal a b = same
+  && ((not same) || Arc_value.Key.hash a = Arc_value.Key.hash b)
+
+(* every pair of edge values, deterministically *)
+let key_edge_pairs () =
+  let vals =
+    [ V.Null; V.Bool true; V.Bool false ]
+    @ List.map V.int edge_ints
+    @ List.map V.float edge_floats
+    @ List.map V.str edge_strings
+  in
+  List.iter
+    (fun a ->
+      List.iter
+        (fun b ->
+          if not (key_agrees a b) then
+            Alcotest.failf "key disagrees with canonical on %s vs %s"
+              (V.canonical a) (V.canonical b))
+        vals)
+    vals
+
+let key_value_gen =
+  let open QCheck.Gen in
+  let strings = edge_strings in
+  frequency
+    [
+      (1, return V.Null);
+      (1, map V.bool bool);
+      (2, map V.int (oneofl edge_ints));
+      (2, map V.int (int_range (-3) 3));
+      (3, map V.float (oneofl edge_floats));
+      (2, map (fun i -> V.Float (float_of_int i)) (int_range (-3) 3));
+      (1, map V.float (map (fun i -> float_of_int i /. 2.) (int_range (-6) 6)));
+      (2, map V.str (oneofl strings));
+      ( 1,
+        map V.str
+          (string_size ~gen:(oneofl [ 'd'; 's'; ';'; ':'; '1' ]) (int_bound 4))
+      );
+    ]
+
+let key_value = QCheck.make ~print:V.canonical key_value_gen
+
+let prop_key_matches_canonical =
+  QCheck.Test.make ~name:"value keys agree with canonical equality"
+    ~count:2000 (QCheck.pair key_value key_value) (fun (a, b) ->
+      key_agrees a b)
+
+let prop_composite_key_matches_canonical =
+  let arr =
+    QCheck.(map Array.of_list (list_of_size (Gen.int_range 1 3) key_value))
+  in
+  QCheck.Test.make ~name:"composite value keys agree with canonical strings"
+    ~count:1000 (QCheck.pair arr arr) (fun (a, b) ->
+      let canon k =
+        String.concat "" (Array.to_list (Array.map V.canonical k))
+      in
+      let same = Array.length a = Array.length b && canon a = canon b in
+      Arc_value.Key.equal_array a b = same
+      && ((not same)
+         || Arc_value.Key.hash_array a = Arc_value.Key.hash_array b))
+
 let () =
   Alcotest.run "arc_value"
     [
@@ -216,6 +298,7 @@ let () =
           Alcotest.test_case "to_string roundtrip" `Quick
             value_to_string_roundtrip;
           Alcotest.test_case "like" `Quick value_like;
+          Alcotest.test_case "value keys on edge pairs" `Quick key_edge_pairs;
         ] );
       ( "bool3",
         [ Alcotest.test_case "kleene tables" `Quick bool3_tables ] );
@@ -229,5 +312,12 @@ let () =
       ( "conventions", [ Alcotest.test_case "presets" `Quick conventions ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_like_percent; prop_compare_total; prop_bool3_demorgan; prop_sum_append ] );
+          [
+            prop_like_percent;
+            prop_compare_total;
+            prop_bool3_demorgan;
+            prop_sum_append;
+            prop_key_matches_canonical;
+            prop_composite_key_matches_canonical;
+          ] );
     ]
