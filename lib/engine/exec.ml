@@ -1307,7 +1307,9 @@ let naive_fixpoint env (dps : (Ir.def_plan * int) list) =
           with_actual env.stats id (fun a -> a.Ir.a_deltas <- delta :: a.Ir.a_deltas);
           if Obs.enabled (tracer env) then
             Obs.set isp ("delta:" ^ n) (Obs.Int delta);
-          if not (Relation.equal_set next current) then begin
+          (* [current] is a set view and [dedup] keeps its rows first, so
+             [next] differs from it exactly when it has more rows *)
+          if delta > 0 then begin
             I.idb_set ctx n next;
             changed := true
           end)
@@ -1406,19 +1408,24 @@ let seminaive_fixpoint env component (dps : (Ir.def_plan * int) list) =
   List.iter (fun n -> I.idb_remove ctx (delta_name n)) component
 
 (* The indexed seminaive fixpoint: the same round structure as
-   [seminaive_fixpoint], made incremental in three ways. One delta rule
+   [seminaive_fixpoint], made incremental in four ways. One delta rule
    per component-scan occurrence, restricted to the single disjunct that
    contains the occurrence — the other disjuncts are independent of that
    delta and are skipped instead of re-run every round. Each rule is
    compiled once with its [fix_marks], so its pipeline memoizes every
    component-free subtree and keeps hash-join build tables alive across
    rounds: the stable side of a delta join is built once and only probed
-   thereafter. And a per-definition seen-set of value keys (the cells in
-   head order, equal exactly when the canonical tuple keys are) replaces
-   the per-round dedup/minus against the accumulated relation, so
-   per-round cost tracks the delta, not the closure. Rules run on the batched block pipeline; budgets charge at the
-   same points as the tuple path (a tick plus a row charge per rule run,
-   iteration checks once per round). *)
+   thereafter. A per-definition seen-set of value keys (the cells in head
+   order, equal exactly when the canonical tuple keys are) replaces the
+   per-round dedup/minus against the accumulated relation. And the
+   accumulated rows grow newest-first by prepending each round's delta;
+   the full relation is rebuilt in order and published only where it is
+   read: after every round when some delta rule still scans a component
+   relation (a nonlinear step such as [a1 in A, a2 in A], or one joining
+   two component relations), otherwise once after the loop. So per-round cost tracks the delta, not the closure. Rules run
+   on the batched block pipeline; budgets charge at the same points as
+   the tuple path (a tick plus a row charge per rule run, iteration
+   checks once per round). *)
 let indexed_seminaive_fixpoint env component (dps : (Ir.def_plan * int) list)
     =
   let ctx = env.ctx in
@@ -1430,6 +1437,7 @@ let indexed_seminaive_fixpoint env component (dps : (Ir.def_plan * int) list)
     Obs.set sp "mode" (Obs.Str "indexed")
   end;
   let ssp = Obs.enter (tracer env) "seed" in
+  let reads_full = ref false in
   let defs =
     List.map
       (fun (dp, id) ->
@@ -1447,11 +1455,9 @@ let indexed_seminaive_fixpoint env component (dps : (Ir.def_plan * int) list)
             a.Ir.a_deltas <- Relation.cardinality seed :: a.Ir.a_deltas);
         if Obs.enabled (tracer env) then
           Obs.set ssp ("delta:" ^ n) (Obs.Int (Relation.cardinality seed));
-        let arity = List.length head.head_attrs in
-        let key tp = Array.init arity (Tuple.nth tp) in
         let seen = Key.Tbl.create (max 64 (4 * Relation.cardinality seed)) in
         List.iter
-          (fun tp -> Key.Tbl.replace seen (key tp) ())
+          (fun tp -> Key.Tbl.replace seen (Tuple.cells tp) ())
           (Relation.tuples seed);
         let dids = Ir.coll_child_ids id dp.Ir.dplan in
         let occurrences = Ir.count_scans_coll component dp.Ir.dplan in
@@ -1468,6 +1474,8 @@ let indexed_seminaive_fixpoint env component (dps : (Ir.def_plan * int) list)
                     | _ -> assert false
                   in
                   let sd, did = pick disjuncts subst dids in
+                  if Ir.count_scans_disjunct component sd > 0 then
+                    reads_full := true;
                   let ce =
                     {
                       cx = ctx;
@@ -1478,8 +1486,12 @@ let indexed_seminaive_fixpoint env component (dps : (Ir.def_plan * int) list)
                   compile_disjunct ce did [||] head sd
               | Ir.Fallback _ -> assert false)
         in
-        (n, id, Schema.make head.head_attrs, rules, key, seen))
+        let acc = ref (List.rev (Relation.tuples seed)) in
+        (n, id, Schema.make head.head_attrs, rules, seen, acc))
       dps
+  in
+  let publish (n, _, schema, _, _, acc) =
+    I.idb_set ctx n (Relation.make ~name:n schema (List.rev !acc))
   in
   Obs.leave (tracer env) ssp;
   let iterations = ref 0 in
@@ -1495,7 +1507,7 @@ let indexed_seminaive_fixpoint env component (dps : (Ir.def_plan * int) list)
       let isp = Obs.enter (tracer env) "iteration" in
       let new_deltas =
         List.map
-          (fun (n, id, schema, rules, key, seen) ->
+          (fun ((n, id, schema, rules, seen, _) as def) ->
             let fresh = ref [] in
             List.iter
               (fun rule ->
@@ -1524,7 +1536,7 @@ let indexed_seminaive_fixpoint env component (dps : (Ir.def_plan * int) list)
                   Gov.leave_collection (gov env);
                   List.iter
                     (fun tp ->
-                      let k = key tp in
+                      let k = Tuple.cells tp in
                       if not (Key.Tbl.mem seen k) then begin
                         Key.Tbl.add seen k ();
                         fresh := tp :: !fresh
@@ -1532,26 +1544,28 @@ let indexed_seminaive_fixpoint env component (dps : (Ir.def_plan * int) list)
                     tuples
                 end)
               rules;
-            (n, id, Relation.make ~name:n schema (List.rev !fresh)))
+            (def, !fresh))
           defs
       in
       List.iter
-        (fun (n, id, fresh) ->
-          let card = Relation.cardinality fresh in
+        (fun (((n, id, schema, _, _, acc) as def), fresh_rev) ->
+          let fresh = List.rev fresh_rev in
+          let card = List.length fresh in
           with_actual env.stats id (fun a -> a.Ir.a_deltas <- card :: a.Ir.a_deltas);
           if Obs.enabled (tracer env) then
             Obs.set isp ("delta:" ^ n) (Obs.Int card);
-          (* [fresh] is disjoint from the accumulated relation by the
-             seen-set, so a plain bag union keeps it a set *)
-          I.idb_set ctx n
-            (Relation.union (Option.get (I.idb_get ctx n)) fresh);
-          I.idb_set ctx (delta_name n) fresh)
+          (* [fresh] is disjoint from the accumulated rows by the seen-set,
+             so the accumulation stays a set *)
+          acc := List.rev_append fresh !acc;
+          if !reads_full then publish def;
+          I.idb_set ctx (delta_name n) (Relation.make ~name:n schema fresh))
         new_deltas;
       Obs.leave (tracer env) isp;
-      if List.for_all (fun (_, _, f) -> Relation.is_empty f) new_deltas then
+      if List.for_all (fun (_, f) -> f = []) new_deltas then
         continue_ := false
     end
   done;
+  if not !reads_full then List.iter publish defs;
   List.iter
     (fun (_, id, _, _, _, _) ->
       with_actual env.stats id (fun a -> a.Ir.a_iterations <- !iterations))

@@ -265,7 +265,9 @@ let rec gen_scope st ~srcs ~counter ~depth ~outer ~head ~head_name =
   | None, Some j -> B.exists ~join:j bindings body
   | None, None -> B.exists bindings body
 
-(* transitive-closure-style recursive definition over R0's int-int prefix *)
+(* transitive-closure-style recursive definition over R0's int-int prefix:
+   the step extends a path by one R0 edge (linear) or, for some draws,
+   joins two paths (nonlinear, so its delta rules read the full T) *)
 let gen_recursive_def st tables =
   let r0 = List.hd tables in
   let c0 = (List.nth r0.cols 0).col and c1 = (List.nth r0.cols 1).col in
@@ -282,13 +284,18 @@ let gen_recursive_def st tables =
          @ guard))
   in
   let step =
+    (* [t] in T followed by [r] over [r_rel], joined on t.y = r.[r_x] *)
+    let t, r, r_rel, r_x, r_y =
+      if chance st 0.4 then ("t1", "t2", "T", "x", "y")
+      else ("t", "e", r0.rel, c0, c1)
+    in
     B.exists
-      [ B.bind "t" "T"; B.bind "e" r0.rel ]
+      [ B.bind t "T"; B.bind r r_rel ]
       (B.conj
          [
-           B.eq (B.attr "t" "y") (B.attr "e" c0);
-           B.eq (B.attr "T" "x") (B.attr "t" "x");
-           B.eq (B.attr "T" "y") (B.attr "e" c1);
+           B.eq (B.attr t "y") (B.attr r r_x);
+           B.eq (B.attr "T" "x") (B.attr t "x");
+           B.eq (B.attr "T" "y") (B.attr r r_y);
          ])
   in
   B.define "T" (B.collection "T" [ "x"; "y" ] (B.disj [ base; step ]))

@@ -1,4 +1,5 @@
 module Value = Arc_value.Value
+module Key = Arc_value.Key
 
 (* [distinct] and [set_view] memoize {!dedup}, filled on its first call:
    [distinct] records that [rows] has no duplicates, [set_view] holds the
@@ -47,17 +48,19 @@ let dedup t =
     match t.set_view with
     | Some v -> v
     | None ->
-        let seen = Hashtbl.create 64 in
+        (* every row has [t.schema], so value keys over the cells in schema
+           order group exactly the rows whose canonical keys agree *)
+        let seen = Key.Tbl.create 64 in
         let dups = ref false in
         let rows =
           List.filter
             (fun tp ->
-              let k = Tuple.key tp in
-              if Hashtbl.mem seen k then (
+              let k = Tuple.cells tp in
+              if Key.Tbl.mem seen k then (
                 dups := true;
                 false)
               else (
-                Hashtbl.add seen k ();
+                Key.Tbl.add seen k ();
                 true))
             t.rows
         in
@@ -99,65 +102,60 @@ let product t1 t2 =
        (fun r1 -> List.map (fun r2 -> Tuple.concat r1 r2) t2.rows)
        t1.rows)
 
+(* Reorders a row to [schema]'s attribute order. Rows of one relation
+   share its schema, so once aligned their cells line up position by
+   position: the value keys of [minus]/[intersect] rely on it, and
+   [union]/[apply_delta]/[diff_signed] use it to keep rows in the
+   relation's order. *)
+let align_to schema tp =
+  if Schema.equal (Tuple.schema tp) schema then tp
+  else Tuple.project tp (Schema.attrs schema)
+
 let union t1 t2 =
   if not (Schema.equal_names t1.schema t2.schema) then
     invalid_arg "Relation.union: schema mismatch";
-  let align tp =
-    if Schema.equal (Tuple.schema tp) t1.schema then tp
-    else Tuple.project tp (Schema.attrs t1.schema)
-  in
-  mk None t1.schema (t1.rows @ List.map align t2.rows)
+  mk None t1.schema (t1.rows @ List.map (align_to t1.schema) t2.rows)
 
-let counts rows =
-  let h = Hashtbl.create 64 in
+(* [t1]'s rows, in order, whose bag match in [t2] is [matched]: each
+   matched row uses up one copy of its counterpart. [t2]'s rows are
+   aligned to [t1]'s attribute order first, so positional value keys
+   match by attribute name. *)
+let filter_counted ~matched t1 t2 =
+  let available = Key.Tbl.create 64 in
   List.iter
     (fun tp ->
-      let k = Tuple.key tp in
-      Hashtbl.replace h k (1 + Option.value ~default:0 (Hashtbl.find_opt h k)))
-    rows;
-  h
+      let k = Tuple.cells (align_to t1.schema tp) in
+      match Key.Tbl.find_opt available k with
+      | Some n -> incr n
+      | None -> Key.Tbl.add available k (ref 1))
+    t2.rows;
+  let rows =
+    List.filter
+      (fun tp ->
+        (match Key.Tbl.find_opt available (Tuple.cells tp) with
+        | Some n when !n > 0 ->
+            decr n;
+            true
+        | _ -> false)
+        = matched)
+      t1.rows
+  in
+  mk None t1.schema rows
 
 let minus t1 t2 =
   if not (Schema.equal_names t1.schema t2.schema) then
     invalid_arg "Relation.minus: schema mismatch";
-  let remaining = counts t2.rows in
-  let rows =
-    List.filter
-      (fun tp ->
-        let k = Tuple.key tp in
-        match Hashtbl.find_opt remaining k with
-        | Some n when n > 0 ->
-            Hashtbl.replace remaining k (n - 1);
-            false
-        | _ -> true)
-      t1.rows
-  in
-  mk None t1.schema rows
+  filter_counted ~matched:false t1 t2
 
 let intersect t1 t2 =
   if not (Schema.equal_names t1.schema t2.schema) then
     invalid_arg "Relation.intersect: schema mismatch";
-  let available = counts t2.rows in
-  let rows =
-    List.filter
-      (fun tp ->
-        let k = Tuple.key tp in
-        match Hashtbl.find_opt available k with
-        | Some n when n > 0 ->
-            Hashtbl.replace available k (n - 1);
-            true
-        | _ -> false)
-      t1.rows
-  in
-  mk None t1.schema rows
+  filter_counted ~matched:true t1 t2
 
-(* Signed deltas: multiplicities keyed by [Tuple.key] — the same canonical
-   serialization [dedup]/[minus]/[intersect] use, so Null matches Null and
-   Int 1 matches Float 1.0 under either null-logic convention. *)
-
-let align_to schema tp =
-  if Schema.equal (Tuple.schema tp) schema then tp
-  else Tuple.project tp (Schema.attrs schema)
+(* Signed deltas: multiplicities keyed by [Tuple.key], the canonical
+   serialization, so Null matches Null and Int 1 matches Float 1.0 under
+   either null-logic convention — the same grouping as the value keys of
+   [dedup]/[minus]/[intersect]. *)
 
 let apply_delta t (delta : (Tuple.t * int) list) =
   List.iter

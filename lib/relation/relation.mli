@@ -25,11 +25,13 @@ val is_empty : t -> bool
 
 val dedup : t -> t
 (** Set-semantics view: one representative per distinct tuple, preserving
-    first-occurrence order. Memoized per relation value on first use: a
-    relation already free of duplicates is returned as is, and one with
-    duplicates returns the same deduplicated relation on every later call.
-    Every operation below builds a new value, which is deduplicated
-    afresh. *)
+    first-occurrence order. Rows are compared by {!Arc_value.Key} on their
+    cells, which groups exactly the tuples {!Tuple.key} does ([Null]
+    matches [Null], [Int 1] matches [Float 1.0]) without building the key
+    strings. Memoized per relation value on first use: a relation already
+    free of duplicates is returned as is, and one with duplicates returns
+    the same deduplicated relation on every later call. Every operation
+    below builds a new value, which is deduplicated afresh. *)
 
 val add : t -> Tuple.t -> t
 
@@ -47,10 +49,14 @@ val union : t -> t -> t
 (** Bag union (UNION ALL); apply {!dedup} for set union. *)
 
 val minus : t -> t -> t
-(** Bag difference (EXCEPT ALL): multiplicities subtract. *)
+(** Bag difference (EXCEPT ALL): multiplicities subtract. Rows match by
+    attribute name, whatever order each operand lists its attributes in,
+    and by value as in {!dedup}. The result keeps the first operand's
+    schema and the order of its remaining rows. *)
 
 val intersect : t -> t -> t
-(** Bag intersection: pointwise [min] of multiplicities. *)
+(** Bag intersection: pointwise [min] of multiplicities, matched as in
+    {!minus}. *)
 
 val join : t -> t -> t
 (** Natural join on shared attribute names (name-based equality,
@@ -60,10 +66,11 @@ val join : t -> t -> t
 
     A signed delta is a list of [(tuple, multiplicity)] pairs: positive
     multiplicities insert copies, negative ones delete occurrences matched
-    by {!Tuple.key} — the canonical serialization {!dedup} uses, so
-    [Null] matches [Null] (under both 2VL and 3VL, as in GROUP
-    BY/DISTINCT) and [Int 1] matches [Float 1.0]. These are the atoms the
-    incremental view maintenance layer ([Arc_ivm]) propagates. *)
+    by {!Tuple.key}, the canonical serialization. It groups tuples exactly
+    as {!dedup}'s value keys do, so [Null] matches [Null] (under both 2VL
+    and 3VL, as in GROUP BY/DISTINCT) and [Int 1] matches [Float 1.0].
+    These are the atoms the incremental view maintenance layer ([Arc_ivm])
+    propagates. *)
 
 val align_to : Schema.t -> Tuple.t -> Tuple.t
 (** Reorder a tuple's cells to a schema over the same attribute names

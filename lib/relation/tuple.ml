@@ -23,6 +23,7 @@ let schema t = t.schema
 let get t name = t.cells.(Schema.index t.schema name)
 let nth t i = t.cells.(i)
 let values t = Array.to_list t.cells
+let cells t = t.cells
 
 let project t names =
   let schema = Schema.project t.schema names in

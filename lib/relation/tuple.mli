@@ -17,6 +17,10 @@ val nth : t -> int -> Arc_value.Value.t
 
 val values : t -> Arc_value.Value.t list
 
+val cells : t -> Arc_value.Value.t array
+(** The cells in schema order, not copied: callers must not mutate the
+    array. Suits {!Arc_value.Key} hashing of tuples that share a schema. *)
+
 val project : t -> string list -> t
 val rename_schema : t -> Schema.t -> t
 

@@ -218,40 +218,81 @@ let db_chain n =
           (List.init n (fun i -> [ V.Int i; V.Int (i + 1) ])) );
     ]
 
+(* [H(src,dst)] from [l] followed by [r] on [l.dst = r.src] *)
+let path_step head l r =
+  conj
+    [
+      eq (attr l "dst") (attr r "src");
+      eq (attr head "src") (attr l "src");
+      eq (attr head "dst") (attr r "dst");
+    ]
+
+(* [H(src,dst)] equal to [v]'s row *)
+let copy_of head v =
+  conj
+    [
+      eq (attr head "src") (attr v "src");
+      eq (attr head "dst") (attr v "dst");
+    ]
+
+(* [name] := [E] or [step] *)
+let edge_def name step =
+  define name
+    (collection name [ "src"; "dst" ]
+       (disj [ exists [ bind "e" "E" ] (copy_of name "e"); step ]))
+
 (* transitive closure, the canonical recursive workload *)
 let tc_defs =
-  [
-    {
-      def_name = "T";
-      def_body =
-        collection "T" [ "src"; "dst" ]
-          (disj
-             [
-               exists [ bind "e" "E" ]
-                 (conj
-                    [
-                      eq (attr "T" "src") (attr "e" "src");
-                      eq (attr "T" "dst") (attr "e" "dst");
-                    ]);
-               exists [ bind "t" "T"; bind "e" "E" ]
-                 (conj
-                    [
-                      eq (attr "t" "dst") (attr "e" "src");
-                      eq (attr "T" "src") (attr "t" "src");
-                      eq (attr "T" "dst") (attr "e" "dst");
-                    ]);
-             ])
-    };
-  ]
+  [ edge_def "T" (exists [ bind "t" "T"; bind "e" "E" ] (path_step "T" "t" "e")) ]
 
 let tc_main =
-  collection "Q" [ "src"; "dst" ]
-    (exists [ bind "t" "T" ]
-       (conj
-          [
-            eq (attr "Q" "src") (attr "t" "src");
-            eq (attr "Q" "dst") (attr "t" "dst");
-          ]))
+  collection "Q" [ "src"; "dst" ] (exists [ bind "t" "T" ] (copy_of "Q" "t"))
+
+(* nonlinear transitive closure: both delta rules join the delta with the
+   full relation *)
+let tc_nonlinear_defs =
+  [
+    edge_def "T"
+      (exists [ bind "t1" "T"; bind "t2" "T" ] (path_step "T" "t1" "t2"));
+  ]
+
+(* mutual recursion: odd- and even-length paths *)
+let parity_defs =
+  [
+    edge_def "Od"
+      (exists [ bind "v" "Ev"; bind "e" "E" ] (path_step "Od" "v" "e"));
+    define "Ev"
+      (collection "Ev" [ "src"; "dst" ]
+         (exists [ bind "o" "Od"; bind "e" "E" ] (path_step "Ev" "o" "e")));
+  ]
+
+let parity_main =
+  collection "Q" [ "k"; "src"; "dst" ]
+    (disj
+       [
+         exists [ bind "o" "Od" ]
+           (conj [ eq (attr "Q" "k") (cstr "odd"); copy_of "Q" "o" ]);
+         exists [ bind "v" "Ev" ]
+           (conj [ eq (attr "Q" "k") (cstr "even"); copy_of "Q" "v" ]);
+       ])
+
+(* transitive closure through two copies of itself: [U] copies [V] and
+   [V] copies [T], so the component seeds [U], then [V], then [T], and both
+   copies start empty. The closure step joins [U] and [V] only, so every
+   path longer than one edge needs the full copies as they grow,
+   mid-fixpoint. *)
+let tc_copies_defs =
+  let copy_def name src =
+    define name
+      (collection name [ "src"; "dst" ]
+         (exists [ bind "c" src ] (copy_of name "c")))
+  in
+  [
+    copy_def "U" "V";
+    copy_def "V" "T";
+    edge_def "T"
+      (exists [ bind "u" "U"; bind "v" "V" ] (path_step "T" "u" "v"));
+  ]
 
 (* a two-key join whose key pairs cross attribute names (p.s = r.t,
    p.t = r.s): both sides' key attributes are the same set, but only
@@ -283,6 +324,9 @@ let example_cases =
     ("division-trc", db_division, [], Coll division_trc);
     ("analytics-rollup", db_analytics, [], Coll analytics_rollup);
     ("tc-chain", db_chain 12, tc_defs, Coll tc_main);
+    ("tc-nonlinear", db_chain 12, tc_nonlinear_defs, Coll tc_main);
+    ("parity-mutual", db_chain 12, parity_defs, Coll parity_main);
+    ("tc-through-copies", db_chain 12, tc_copies_defs, Coll tc_main);
     ("two-key-swapped", db_swapped, [], Coll swapped_keys);
   ]
 

@@ -91,6 +91,37 @@ let rel_ops () =
   let p = Relation.product r (Relation.rename [ ("A", "B") ] s) in
   Alcotest.(check int) "product" 6 (Relation.cardinality p)
 
+(* [minus]/[intersect] match the second operand's rows by attribute name,
+   not position, and by canonical value: Int 1 matches Float 1.0 and NULL
+   matches NULL. The kept rows are the first operand's, in its order. *)
+let rel_ops_aligned () =
+  let n = V.Null and f = V.float in
+  let r =
+    Relation.of_rows [ "A"; "B" ]
+      [
+        [ i 1; n ]; [ i 1; n ]; [ i 2; f 1.0 ]; [ n; n ]; [ i 3; i 4 ];
+        [ f 1.0; n ];
+      ]
+  in
+  let s =
+    Relation.of_rows [ "B"; "A" ]
+      [ [ n; f 1.0 ]; [ i 1; i 2 ]; [ n; n ]; [ i 4; f 3.0 ]; [ i 5; i 3 ] ]
+  in
+  let check what attrs expected got =
+    Alcotest.(check (list string)) (what ^ " schema") attrs
+      (Schema.attrs (Relation.schema got));
+    Alcotest.(check bool) what true
+      (List.map Tuple.values (Relation.tuples got) = expected)
+  in
+  check "minus" [ "A"; "B" ] [ [ i 1; n ]; [ f 1.0; n ] ] (Relation.minus r s);
+  check "intersect" [ "A"; "B" ]
+    [ [ i 1; n ]; [ i 2; f 1.0 ]; [ n; n ]; [ i 3; i 4 ] ]
+    (Relation.intersect r s);
+  check "swapped minus" [ "B"; "A" ] [ [ i 5; i 3 ] ] (Relation.minus s r);
+  check "swapped intersect" [ "B"; "A" ]
+    [ [ n; f 1.0 ]; [ i 1; i 2 ]; [ n; n ]; [ i 4; f 3.0 ] ]
+    (Relation.intersect s r)
+
 let rel_select_project () =
   let r = Relation.of_rows [ "A"; "B" ] [ [ i 1; i 2 ]; [ i 3; i 4 ] ] in
   let sel = Relation.select (fun t -> V.equal (Tuple.get t "A") (i 1)) r in
@@ -333,6 +364,8 @@ let () =
           Alcotest.test_case "dedup collision regression" `Quick
             rel_dedup_collisions;
           Alcotest.test_case "bag ops" `Quick rel_ops;
+          Alcotest.test_case "bag ops across attribute order" `Quick
+            rel_ops_aligned;
           Alcotest.test_case "select/project" `Quick rel_select_project;
           Alcotest.test_case "natural join" `Quick rel_join;
           Alcotest.test_case "set/bag equality" `Quick rel_equalities;
