@@ -30,8 +30,17 @@ module Budget = Arc_guard.Budget
 module Gov = Arc_guard.Gov
 module Trc = Arc_trc.Trc
 
+(* A tuple as the oracle compares it: its canonical key with every
+   non-integral float masked as "f;", and those floats in attribute order.
+   A float SUM depends on the order of its additions, and engines add in
+   different orders: on one core of seed 10, over the same three rows,
+   they return 0x1.0000035afe536p+0 and 0x1.0000035afe535p+0. So masked
+   floats compare within a relative [float_tolerance]; every other value
+   compares exactly. *)
+type row = string * float list
+
 type outcome =
-  | Bag of string list  (** sorted canonical tuple keys *)
+  | Bag of row list  (** sorted rows *)
   | Truth of B3.t
   | Failed of string  (** evaluation rejected the case (label is the kind) *)
   | Resource  (** budget exhausted — comparisons involving this are skipped *)
@@ -68,7 +77,37 @@ let kind_label : Err.kind -> string = function
   | Err.External_failure _ -> "external"
   | Err.Msg m -> "error: " ^ m
 
-let bag_of r = Bag (List.sort compare (List.map Tuple.key (Relation.tuples r)))
+let row_of tp : row =
+  let floats = ref [] in
+  let key =
+    String.concat ""
+      (List.map
+         (fun a ->
+           let cell =
+             match Tuple.get tp a with
+             | V.Float f when not (Float.is_integer f) ->
+                 floats := f :: !floats;
+                 "f;"
+             | v -> V.canonical v
+           in
+           string_of_int (String.length a) ^ ":" ^ a ^ cell)
+         (Arc_relation.Schema.sorted_attrs (Tuple.schema tp)))
+  in
+  (key, List.rev !floats)
+
+let bag_of r = Bag (List.sort compare (List.map row_of (Relation.tuples r)))
+
+let float_tolerance = 1e-9
+
+let close x y =
+  Float.equal x y
+  || Float.abs (x -. y) <= float_tolerance *. Float.max (Float.abs x) (Float.abs y)
+
+let same_rows (a : row list) (b : row list) =
+  List.compare_lengths a b = 0
+  && List.for_all2
+       (fun (k, fs) (k', fs') -> String.equal k k' && List.for_all2 close fs fs')
+       a b
 
 let outcome_of f =
   match f () with
@@ -80,9 +119,13 @@ let outcome_of f =
       | k -> Failed (kind_label k))
 
 let outcome_to_string = function
-  | Bag keys ->
-      Printf.sprintf "bag of %d rows [%s]" (List.length keys)
-        (String.concat "; " keys)
+  | Bag rows ->
+      Printf.sprintf "bag of %d rows [%s]" (List.length rows)
+        (String.concat "; "
+           (List.map
+              (fun (k, fs) ->
+                String.concat " " (k :: List.map (Printf.sprintf "%h") fs))
+              rows))
   | Truth t -> "truth " ^ B3.to_string t
   | Failed m -> "rejected (" ^ m ^ ")"
   | Resource -> "budget exhausted"
@@ -92,6 +135,7 @@ let agree a b =
   match (a, b) with
   | Resource, _ | _, Resource -> true
   | Failed _, Failed _ -> true
+  | Bag x, Bag y -> same_rows x y
   | x, y -> x = y
 
 let guard () = Gov.make ~on_limit:`Fail fuzz_budget

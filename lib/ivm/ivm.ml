@@ -13,6 +13,8 @@ module Exec = Arc_engine.Exec
 module I = Eval.Internal
 module Gov = Arc_guard.Gov
 module Metrics = Arc_obs.Metrics
+module Key = Arc_value.Key
+module Aggregate = Arc_value.Aggregate
 
 exception Ivm_error of string
 
@@ -84,17 +86,71 @@ let disjunct_blocker = function
 (* Maintenance state                                                   *)
 (* ------------------------------------------------------------------ *)
 
+(* One support row of a group: a node of the group's circular,
+   insertion-ordered list. [s_same] links the live copies of one row
+   value in a circle, from the newest (which the index holds) to the
+   oldest. *)
+type slot = {
+  s_row : I.benv;
+  mutable s_prev : slot;
+  mutable s_next : slot;
+  mutable s_same : slot;
+}
+
+(* Support rows by value: the same variables bound to tuples whose cells
+   are canonically equal ([Arc_value.Key]), so rows match exactly when
+   their tuple keys do, without building a key per row. *)
+module Row_tbl = Hashtbl.Make (struct
+  type t = I.benv
+
+  let equal a b =
+    List.compare_lengths a b = 0
+    && List.for_all
+         (fun (v, tp) ->
+           match List.assoc_opt v b with
+           | Some tp' -> Key.equal_array (Tuple.cells tp) (Tuple.cells tp')
+           | None -> false)
+         a
+
+  let hash row =
+    List.fold_left (fun h (_, tp) -> h + Key.hash_array (Tuple.cells tp)) 0 row
+end)
+
+(* Exact running state of one aggregate subterm over a group's live
+   support. [a_isum] is modular, so it is exact whatever order rows come
+   and go in; [a_abs_hi]/[a_abs_lo] hold the sum of |v| over Int inputs
+   below 2^53 in 2^26-sized limbs, so it cannot overflow. *)
+type acc = {
+  mutable a_nonnull : int;  (* live non-NULL inputs *)
+  mutable a_other : int;  (* ... of which are not Int *)
+  mutable a_isum : int;  (* sum of the Int inputs, modulo 2^63 *)
+  mutable a_big : int;  (* Int inputs with |v| >= 2^53 *)
+  mutable a_abs_hi : int;
+  mutable a_abs_lo : int;
+}
+
+type group = {
+  g_rows : slot;  (* sentinel of the support list, oldest row first *)
+  mutable g_size : int;
+  g_accs : acc array;  (* one per distinct aggregate subterm *)
+  mutable g_out : Tuple.t list;  (* emitted tuples *)
+}
+
+type agg_state = {
+  input : Ir.t;
+  keys : grouping;
+  scope_vars : var list;
+  post : formula list;
+  assigns : (attr * term) list;
+  aggs : (Aggregate.kind * term) array;  (* distinct Agg subterms *)
+  agg_nodes : (term * int) list;  (* each Agg node -> its [aggs] index *)
+  groups : group Key.Tbl.t;  (* group key values -> group *)
+  index : slot Row_tbl.t;  (* row value -> its newest live slot *)
+}
+
 type disj_state =
   | DProj of { assigns : (attr * term) list; input : Ir.t }
-  | DAgg of {
-      input : Ir.t;
-      keys : grouping;
-      scope_vars : var list;
-      post : formula list;
-      assigns : (attr * term) list;
-      groups : (string, I.benv list) Hashtbl.t;  (* gkey -> support rows *)
-      outs : (string, Tuple.t list) Hashtbl.t;  (* gkey -> emitted tuples *)
-    }
+  | DAgg of agg_state
 
 type coll_state =
   | CCounting of {
@@ -127,12 +183,13 @@ type view = {
   mutable v_fallbacks : int;
 }
 
-(* Per-base-relation incremental cache: bag multiplicities by canonical
-   key plus the visible (convention-level) relation. Batches update both
-   in O(|batch|), so applying a batch never re-deduplicates or re-diffs
-   a whole base relation. *)
+(* Per-base-relation incremental cache: bag multiplicities by value key
+   (the cells in the relation's attribute order) plus the visible
+   (convention-level) relation. Batches update both in O(|batch|), so
+   applying a batch never re-deduplicates or re-diffs a whole base
+   relation. *)
 type base_cache = {
-  bc_counts : (string, int) Hashtbl.t;
+  bc_counts : int Key.Tbl.t;
   mutable bc_vis : Relation.t;
 }
 
@@ -214,12 +271,12 @@ let base_cache_for t r (rel : Relation.t) =
   match Hashtbl.find_opt t.tbase r with
   | Some bc -> bc
   | None ->
-      let counts = Hashtbl.create (1 + Relation.cardinality rel) in
+      let counts = Key.Tbl.create (1 + Relation.cardinality rel) in
       List.iter
         (fun tp ->
-          let k = Tuple.key tp in
-          Hashtbl.replace counts k
-            (1 + Option.value ~default:0 (Hashtbl.find_opt counts k)))
+          let k = Tuple.cells tp in
+          Key.Tbl.replace counts k
+            (1 + Option.value ~default:0 (Key.Tbl.find_opt counts k)))
         (Relation.tuples rel);
       let bc = { bc_counts = counts; bc_vis = visible t.conv rel } in
       Hashtbl.add t.tbase r bc;
@@ -239,27 +296,126 @@ let project_tuple ctx schema (head : head) assigns (row : I.benv) =
                 fail "head attribute %s.%s is unassigned" head.head_name a)
           head.head_attrs))
 
-let group_key ctx (full : I.benv) keys =
-  String.concat ""
-    (List.map
-       (fun (v, a) -> V.canonical (I.eval_term ctx full (Attr (v, a))))
-       keys)
+(* ------------------------------------------------------------------ *)
+(* Group support and aggregate accumulators                            *)
+(* ------------------------------------------------------------------ *)
 
-(* Canonical serialization of a binding row, for exact-match deletion
-   from group support tables. *)
-let benv_key (row : I.benv) =
-  String.concat "\x01"
-    (List.map
-       (fun (v, tp) -> v ^ "\x00" ^ Tuple.key tp)
-       (List.sort (fun (a, _) (b, _) -> String.compare a b) row))
+let group_key ctx (row : I.benv) keys =
+  Array.of_list (List.map (fun (v, a) -> I.eval_term ctx row (Attr (v, a))) keys)
 
-let remove_benv rows row =
-  let k = benv_key row in
-  let rec go = function
-    | [] -> fail "maintenance state underflow: support row not found"
-    | r :: rest -> if benv_key r = k then rest else r :: go rest
+(* The distinct [Agg] subterms of the head assignments and the HAVING
+   formulas (not inside nested scopes, which aggregate on their own), and
+   every Agg node's index among them. *)
+let agg_subterms assigns post =
+  let distinct = ref [] and nodes = ref [] in
+  let rec term = function
+    | Agg (k, inner) as node ->
+        let rec find i = function
+          | [] ->
+              distinct := !distinct @ [ (k, inner) ];
+              i
+          | (k', inner') :: rest ->
+              if k = k' && equal_term inner inner' then i else find (i + 1) rest
+        in
+        nodes := (node, find 0 !distinct) :: !nodes
+    | Scalar (_, ts) -> List.iter term ts
+    | Const _ | Attr _ -> ()
+  and formula = function
+    | Pred p -> List.iter term (pred_terms p)
+    | And fs | Or fs -> List.iter formula fs
+    | Not f -> formula f
+    | True | Exists _ -> ()
   in
-  go rows
+  List.iter (fun (_, t) -> term t) assigns;
+  List.iter formula post;
+  (Array.of_list !distinct, !nodes)
+
+let new_group naggs =
+  let rec s = { s_row = []; s_prev = s; s_next = s; s_same = s } in
+  {
+    g_rows = s;
+    g_size = 0;
+    g_accs =
+      Array.init naggs (fun _ ->
+          {
+            a_nonnull = 0;
+            a_other = 0;
+            a_isum = 0;
+            a_big = 0;
+            a_abs_hi = 0;
+            a_abs_lo = 0;
+          });
+    g_out = [];
+  }
+
+let limb_bits = 26
+let exact_float = 1 lsl 53
+
+(* Fold one input value into [a] with sign [s] (+1 arrives, -1 leaves). *)
+let acc_add a s = function
+  | V.Null -> ()
+  | V.Int x ->
+      a.a_nonnull <- a.a_nonnull + s;
+      a.a_isum <- a.a_isum + (s * x);
+      if x >= exact_float || x <= -exact_float then a.a_big <- a.a_big + s
+      else begin
+        let m = abs x in
+        a.a_abs_hi <- a.a_abs_hi + (s * (m lsr limb_bits));
+        a.a_abs_lo <- a.a_abs_lo + (s * (m land ((1 lsl limb_bits) - 1)))
+      end
+  | _ ->
+      a.a_nonnull <- a.a_nonnull + s;
+      a.a_other <- a.a_other + s
+
+(* Every partial sum of the group's Int inputs is an integer below 2^53,
+   so adding them as floats in any order is exact. *)
+let abs_sum_exact a =
+  a.a_big = 0
+  && a.a_abs_hi < 1 lsl (53 - limb_bits)
+  && (a.a_abs_hi lsl limb_bits) + a.a_abs_lo < exact_float
+
+(* The aggregate's value over the group, from the accumulator where that
+   is exact: COUNT always; SUM while every input is an Int (modular
+   addition is order-free, like the reference fold's); AVG under the same
+   condition while the sum of |v| stays below 2^53. Everything else
+   re-folds the group's inputs in support order, as the reference does. *)
+let agg_value conv k a refold =
+  let empty () = Aggregate.apply conv.Conventions.agg_empty k [] in
+  match k with
+  | Aggregate.Count -> V.Int a.a_nonnull
+  | Aggregate.Sum when a.a_other = 0 ->
+      if a.a_nonnull = 0 then empty () else V.Int a.a_isum
+  | Aggregate.Avg when a.a_other = 0 && abs_sum_exact a ->
+      if a.a_nonnull = 0 then empty ()
+      else V.Float (float_of_int a.a_isum /. float_of_int a.a_nonnull)
+  | _ -> Aggregate.apply conv.Conventions.agg_empty k (refold ())
+
+(* The values of [inner] over the group's live rows, oldest first. *)
+let support_values ctx g inner =
+  let rec go s acc =
+    if s == g.g_rows then acc
+    else go s.s_prev (I.eval_term ctx s.s_row inner :: acc)
+  in
+  go g.g_rows.s_prev []
+
+let rec subst_aggs values nodes = function
+  | Agg _ as node -> Const values.(List.assq node nodes)
+  | Scalar (op, ts) -> Scalar (op, List.map (subst_aggs values nodes) ts)
+  | (Const _ | Attr _) as t -> t
+
+let rec subst_aggs_formula values nodes = function
+  | Pred p ->
+      let t = subst_aggs values nodes in
+      Pred
+        (match p with
+        | Cmp (op, l, r) -> Cmp (op, t l, t r)
+        | Is_null x -> Is_null (t x)
+        | Not_null x -> Not_null (t x)
+        | Like (x, pat) -> Like (t x, pat))
+  | And fs -> And (List.map (subst_aggs_formula values nodes) fs)
+  | Or fs -> Or (List.map (subst_aggs_formula values nodes) fs)
+  | Not f -> Not (subst_aggs_formula values nodes f)
+  | (True | Exists _) as f -> f
 
 (* ------------------------------------------------------------------ *)
 (* Scan-substitution runs                                              *)
@@ -351,42 +507,112 @@ let fold_count conv counts out tp s =
       if c = 0 && c' > 0 then Delta.add out tp 1
       else if c > 0 && c' = 0 then Delta.add out tp (-1)
 
-let agg_outputs ctx conv out (head : head) keys scope_vars post assigns groups
-    outs gk counts =
-  let group = Option.value ~default:[] (Hashtbl.find_opt groups gk) in
-  let old_outs = Option.value ~default:[] (Hashtbl.find_opt outs gk) in
-  let new_outs =
-    if keys <> [] && group = [] then []
-    else
-      let rep = match group with [] -> [] | r :: _ -> r in
-      if
-        List.for_all
-          (fun f -> I.eval_gformula ctx ~rep ~group ~scope_vars f = B3.True)
-          post
-      then
-        let schema = Schema.make head.head_attrs in
-        [
-          Tuple.make schema
-            (Array.of_list
-               (List.map
-                  (fun a ->
-                    match List.assoc_opt a assigns with
-                    | Some tm ->
-                        I.eval_gterm ctx ~rep ~group ~scope_vars tm
-                    | None ->
-                        fail "head attribute %s.%s is unassigned"
-                          head.head_name a)
-                  head.head_attrs));
-        ]
-      else []
+let group_for (d : agg_state) gk =
+  match Key.Tbl.find_opt d.groups gk with
+  | Some g -> g
+  | None ->
+      let g = new_group (Array.length d.aggs) in
+      Key.Tbl.add d.groups gk g;
+      g
+
+(* Fold a support row's aggregate inputs into its group's accumulators,
+   with sign [sg]. *)
+let account ctx (d : agg_state) g row sg =
+  Array.iteri
+    (fun i (_, inner) -> acc_add g.g_accs.(i) sg (I.eval_term ctx row inner))
+    d.aggs
+
+(* Append a support row to its group: O(1) plus one evaluation of each
+   aggregate's inner term. *)
+let add_support ctx (d : agg_state) row =
+  let gk = group_key ctx row d.keys in
+  let g = group_for d gk in
+  let last = g.g_rows.s_prev in
+  let rec s = { s_row = row; s_prev = last; s_next = g.g_rows; s_same = s } in
+  last.s_next <- s;
+  g.g_rows.s_prev <- s;
+  g.g_size <- g.g_size + 1;
+  account ctx d g row 1;
+  (match Row_tbl.find_opt d.index row with
+  | Some newest ->
+      s.s_same <- newest.s_same;
+      newest.s_same <- s
+  | None -> ());
+  Row_tbl.replace d.index row s;
+  (gk, g)
+
+(* Remove the oldest live copy of [row], as the list-based support did.
+   The stored row (not [row], which may differ from it by Int/Float) is
+   unlinked, and its inputs leave the accumulators. *)
+let remove_support ctx (d : agg_state) row =
+  let s =
+    match Row_tbl.find_opt d.index row with
+    | None -> fail "maintenance state underflow: support row not found"
+    | Some newest ->
+        let oldest = newest.s_same in
+        if oldest == newest then Row_tbl.remove d.index row
+        else newest.s_same <- oldest.s_same;
+        oldest
   in
-  List.iter (fun tp -> fold_count conv counts out tp (-1)) old_outs;
+  let gk = group_key ctx s.s_row d.keys in
+  let g =
+    match Key.Tbl.find_opt d.groups gk with
+    | Some g -> g
+    | None -> fail "maintenance state underflow: support row has no group"
+  in
+  s.s_prev.s_next <- s.s_next;
+  s.s_next.s_prev <- s.s_prev;
+  g.g_size <- g.g_size - 1;
+  account ctx d g s.s_row (-1);
+  (gk, g)
+
+(* The tuple a group emits, when every HAVING formula holds. *)
+let group_output ctx (head : head) ~rep ~group ~scope_vars post assigns =
+  if
+    List.for_all
+      (fun f -> I.eval_gformula ctx ~rep ~group ~scope_vars f = B3.True)
+      post
+  then
+    [
+      Tuple.make (Schema.make head.head_attrs)
+        (Array.of_list
+           (List.map
+              (fun a ->
+                match List.assoc_opt a assigns with
+                | Some tm -> I.eval_gterm ctx ~rep ~group ~scope_vars tm
+                | None -> fail "head attribute %s.%s is unassigned" head.head_name a)
+              head.head_attrs));
+    ]
+  else []
+
+(* Re-emit a dirty group: retract its old output, add the new one. A
+   non-empty group evaluates the head with each aggregate replaced by its
+   value and the oldest live row as representative; γ∅ over no rows keeps
+   the reference path (the agg-empty convention). *)
+let emit_group ctx conv out (head : head) (d : agg_state) counts gk g =
+  let new_outs =
+    if g.g_size = 0 then
+      if d.keys <> [] then []
+      else
+        group_output ctx head ~rep:[] ~group:[] ~scope_vars:d.scope_vars d.post
+          d.assigns
+    else
+      let values =
+        Array.mapi
+          (fun i (k, inner) ->
+            agg_value conv k g.g_accs.(i) (fun () ->
+                support_values ctx g inner))
+          d.aggs
+      in
+      let rep = g.g_rows.s_next.s_row in
+      group_output ctx head ~rep ~group:[ rep ] ~scope_vars:d.scope_vars
+        (List.map (subst_aggs_formula values d.agg_nodes) d.post)
+        (List.map (fun (a, t) -> (a, subst_aggs values d.agg_nodes t)) d.assigns)
+  in
+  List.iter (fun tp -> fold_count conv counts out tp (-1)) g.g_out;
   List.iter (fun tp -> fold_count conv counts out tp 1) new_outs;
-  if keys <> [] && group = [] then begin
-    Hashtbl.remove groups gk;
-    Hashtbl.remove outs gk
-  end
-  else Hashtbl.replace outs gk new_outs
+  if d.keys <> [] && g.g_size = 0 then Key.Tbl.remove d.groups gk
+  else g.g_out <- new_outs
 
 (* Initial materialization: full pipeline runs establish derivation
    counts (which collection-level dedup would destroy) and group
@@ -401,27 +627,15 @@ let seed_counting ctx conv head disjs counts =
             (fun row ->
               Delta.add counts (project_tuple ctx schema head assigns row) 1)
             (Exec.exec_pipeline ctx input)
-      | DAgg { input; keys; scope_vars; post; assigns; groups; outs } ->
-          let rows = Exec.exec_pipeline ctx input in
-          let dirty = Hashtbl.create 16 in
-          if keys = [] then begin
-            Hashtbl.replace groups "" rows;
-            Hashtbl.replace dirty "" ()
-          end
-          else
-            List.iter
-              (fun row ->
-                let gk = group_key ctx row keys in
-                Hashtbl.replace groups gk
-                  (Option.value ~default:[] (Hashtbl.find_opt groups gk)
-                  @ [ row ]);
-                Hashtbl.replace dirty gk ())
-              rows;
-          Hashtbl.iter
-            (fun gk () ->
-              agg_outputs ctx conv scratch head keys scope_vars post assigns
-                groups outs gk counts)
-            dirty)
+      | DAgg d ->
+          let dirty = Key.Tbl.create 16 in
+          if d.keys = [] then Key.Tbl.replace dirty [||] (group_for d [||]);
+          List.iter
+            (fun row ->
+              let gk, g = add_support ctx d row in
+              Key.Tbl.replace dirty gk g)
+            (Exec.exec_pipeline ctx d.input);
+          Key.Tbl.iter (emit_group ctx conv scratch head d counts) dirty)
     disjs;
   Relation.sort (visible_of_counts conv head counts)
 
@@ -441,24 +655,17 @@ let maintain_counting ctx conv head disjs counts changed old_r =
                 (project_tuple ctx schema head assigns row)
                 s)
             (signed_rows ctx changed input)
-      | DAgg { input; keys; scope_vars; post; assigns; groups; outs } ->
-          let runs = signed_rows ctx changed input in
-          let dirty = Hashtbl.create 16 in
+      | DAgg d ->
+          let dirty = Key.Tbl.create 16 in
           List.iter
             (fun (row, s) ->
-              let gk = if keys = [] then "" else group_key ctx row keys in
-              let cur =
-                Option.value ~default:[] (Hashtbl.find_opt groups gk)
+              let gk, g =
+                if s > 0 then add_support ctx d row
+                else remove_support ctx d row
               in
-              Hashtbl.replace groups gk
-                (if s > 0 then cur @ [ row ] else remove_benv cur row);
-              Hashtbl.replace dirty gk ())
-            runs;
-          Hashtbl.iter
-            (fun gk () ->
-              agg_outputs ctx conv out head keys scope_vars post assigns
-                groups outs gk counts)
-            dirty)
+              Key.Tbl.replace dirty gk g)
+            (signed_rows ctx changed d.input);
+          Key.Tbl.iter (emit_group ctx conv out head d counts) dirty)
     disjs;
   let eff =
     List.sort
@@ -764,6 +971,7 @@ let classify_coll (plan : Ir.coll_plan) : coll_state =
                   | Ir.Project { input; assigns } -> DProj { assigns; input }
                   | Ir.Aggregate { input; keys; scope_vars; post; assigns }
                     ->
+                      let aggs, agg_nodes = agg_subterms assigns post in
                       DAgg
                         {
                           input;
@@ -771,8 +979,10 @@ let classify_coll (plan : Ir.coll_plan) : coll_state =
                           scope_vars;
                           post;
                           assigns;
-                          groups = Hashtbl.create 64;
-                          outs = Hashtbl.create 64;
+                          aggs;
+                          agg_nodes;
+                          groups = Key.Tbl.create 64;
+                          index = Row_tbl.create 64;
                         }
                 in
                 build (st :: acc) rest)
@@ -971,9 +1181,9 @@ let maintain_coll t v ctx (cs : coll_state) changed old_r :
         List.iter
           (function
             | DProj _ -> ()
-            | DAgg { groups; outs; _ } ->
-                Hashtbl.reset groups;
-                Hashtbl.reset outs)
+            | DAgg d ->
+                Key.Tbl.reset d.groups;
+                Row_tbl.reset d.index)
           disjs;
         (seed_counting ctx t.conv head disjs counts, None))
   | CFallback { plan; reason } ->
@@ -1105,10 +1315,8 @@ let state_rows t =
             + List.fold_left
                 (fun a -> function
                   | DProj _ -> a
-                  | DAgg { groups; _ } ->
-                      Hashtbl.fold
-                        (fun _ rows a -> a + List.length rows)
-                        groups a)
+                  | DAgg d ->
+                      Key.Tbl.fold (fun _ g a -> a + g.g_size) d.groups a)
                 0 disjs
         | CFallback _ -> 0
       in
@@ -1173,17 +1381,22 @@ let apply ?guard t (batch : batch) =
     (fun (r, old_rel, new_rel) ->
       let bc = base_cache_for t r old_rel in
       let schema = Relation.schema old_rel in
+      (* whether every entry moves one distinct row in or out, so the
+         visible-level delta is the batch itself *)
+      let unit_moves = ref true in
       let veff =
         List.filter_map
           (fun (tp, n) ->
             let tp = Relation.align_to schema tp in
-            let k = Tuple.key tp in
+            let k = Tuple.cells tp in
             let old_c =
-              Option.value ~default:0 (Hashtbl.find_opt bc.bc_counts k)
+              Option.value ~default:0 (Key.Tbl.find_opt bc.bc_counts k)
             in
             let new_c = old_c + n in
-            if new_c <= 0 then Hashtbl.remove bc.bc_counts k
-            else Hashtbl.replace bc.bc_counts k new_c;
+            if new_c <= 0 then Key.Tbl.remove bc.bc_counts k
+            else Key.Tbl.replace bc.bc_counts k new_c;
+            if not ((n = 1 && old_c = 0) || (n = -1 && old_c = 1)) then
+              unit_moves := false;
             match t.conv.Conventions.collection with
             | Conventions.Bag -> if n = 0 then None else Some (tp, n)
             | Conventions.Set ->
@@ -1193,11 +1406,16 @@ let apply ?guard t (batch : batch) =
           (Delta.to_list (Hashtbl.find merged r))
       in
       let ch_old = bc.bc_vis in
+      (* Under Set, a visible relation that is the base relation itself
+         (the base was distinct) stays so after unit moves: the new base
+         relation is already the new visible one, with no second pass. *)
       let ch_new =
         match t.conv.Conventions.collection with
         | Conventions.Bag -> new_rel
         | Conventions.Set ->
-            if veff = [] then ch_old else Relation.apply_delta ch_old veff
+            if veff = [] then ch_old
+            else if ch_old == old_rel && !unit_moves then new_rel
+            else Relation.apply_delta ch_old veff
       in
       bc.bc_vis <- ch_new;
       if veff <> [] then
@@ -1211,7 +1429,9 @@ let apply ?guard t (batch : batch) =
   let reports =
     List.map (fun v -> maintain_view t v guard changed_base) t.tviews
   in
-  metric_gauge t "arc_ivm_state_rows" (float_of_int (state_rows t));
+  (* walking every view's state costs O(state), so only when observed *)
+  if t.metrics <> None then
+    metric_gauge t "arc_ivm_state_rows" (float_of_int (state_rows t));
   reports
 
 (* ------------------------------------------------------------------ *)

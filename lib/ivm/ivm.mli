@@ -7,8 +7,9 @@
     - {b counting} — non-recursive collections whose disjunct pipelines
       use only multilinear operators (scan, product, hash join, filter,
       prune, relation-free residuals). Projections maintain a signed
-      derivation-count table; grouped aggregates persist group tables
-      (binding rows with support) and re-aggregate only dirty groups.
+      derivation-count table; grouped aggregates persist each group's
+      support rows in insertion order plus exact COUNT/SUM/AVG
+      accumulators, and re-emit only dirty groups.
       Deltas are propagated by executing scan-substituted plans — the
       same rewrite the seminaive fixpoint uses ({!Arc_plan.Ir.subst_scan}).
     - {b DRed} — recursive strata eligible for seminaive substitution:

@@ -152,10 +152,11 @@ let intersect t1 t2 =
     invalid_arg "Relation.intersect: schema mismatch";
   filter_counted ~matched:true t1 t2
 
-(* Signed deltas: multiplicities keyed by [Tuple.key], the canonical
-   serialization, so Null matches Null and Int 1 matches Float 1.0 under
-   either null-logic convention — the same grouping as the value keys of
-   [dedup]/[minus]/[intersect]. *)
+(* Signed deltas. [apply_delta] matches deletions on value keys over the
+   aligned cells, as [dedup]/[minus]/[intersect] do, so Null matches Null
+   and Int 1 matches Float 1.0 under either null-logic convention; that is
+   the grouping of [Tuple.key], the canonical serialization
+   [diff_signed] tallies on. *)
 
 let apply_delta t (delta : (Tuple.t * int) list) =
   List.iter
@@ -163,7 +164,8 @@ let apply_delta t (delta : (Tuple.t * int) list) =
       if not (Schema.equal_names (Tuple.schema tp) t.schema) then
         invalid_arg "Relation.apply_delta: tuple schema mismatch")
     delta;
-  let to_remove = Hashtbl.create 16 in
+  let to_remove = Key.Tbl.create 16 in
+  let pending = ref 0 in
   let inserts =
     List.concat_map
       (fun (tp, n) ->
@@ -171,33 +173,34 @@ let apply_delta t (delta : (Tuple.t * int) list) =
         if n > 0 then List.init n (fun _ -> tp)
         else begin
           if n < 0 then begin
-            let k = Tuple.key tp in
-            Hashtbl.replace to_remove k
-              (-n + Option.value ~default:0 (Hashtbl.find_opt to_remove k))
+            let k = Tuple.cells tp in
+            (match Key.Tbl.find_opt to_remove k with
+            | Some r -> r := !r - n
+            | None -> Key.Tbl.add to_remove k (ref (-n)));
+            pending := !pending - n
           end;
           []
         end)
       delta
   in
-  let rows =
-    if Hashtbl.length to_remove = 0 then t.rows
-    else
-      List.filter
-        (fun tp ->
-          let k = Tuple.key tp in
-          match Hashtbl.find_opt to_remove k with
-          | Some n when n > 0 ->
-              Hashtbl.replace to_remove k (n - 1);
-              false
-          | _ -> true)
-        t.rows
+  (* One pass: drop the deleted rows, then append the inserts. Once every
+     deletion has found its row, the rest is kept without hashing; with no
+     inserts, it is shared. *)
+  let[@tail_mod_cons] rec keep = function
+    | rows when !pending = 0 -> if inserts = [] then rows else rows @ inserts
+    | [] -> inserts
+    | tp :: rest -> (
+        match Key.Tbl.find_opt to_remove (Tuple.cells tp) with
+        | Some r when !r > 0 ->
+            decr r;
+            decr pending;
+            keep rest
+        | _ -> tp :: keep rest)
   in
-  Hashtbl.iter
-    (fun _ n ->
-      if n > 0 then
-        invalid_arg "Relation.apply_delta: delete exceeds multiplicity")
-    to_remove;
-  mk t.name t.schema (rows @ inserts)
+  let rows = keep t.rows in
+  if !pending > 0 then
+    invalid_arg "Relation.apply_delta: delete exceeds multiplicity";
+  mk t.name t.schema rows
 
 let diff_signed t_old t_new =
   if not (Schema.equal_names t_old.schema t_new.schema) then

@@ -79,7 +79,10 @@ val align_to : Schema.t -> Tuple.t -> Tuple.t
 
 val apply_delta : t -> (Tuple.t * int) list -> t
 (** Apply a signed delta: deletions filter existing rows (preserving
-    order), insertions append. Raises [Invalid_argument] if a tuple's
+    order), insertions append, in one pass over the relation. Deletions
+    match rows by value key over the cells aligned to the relation's
+    attribute order, as {!dedup} does, so [Null] matches [Null] and
+    [Int 1] matches [Float 1.0]. Raises [Invalid_argument] if a tuple's
     schema differs from the relation's or a deletion exceeds the present
     multiplicity — deltas are exact, never clamped, so
     [apply_delta (apply_delta r d) (inverse of d)] restores [r]. *)

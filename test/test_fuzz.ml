@@ -171,6 +171,29 @@ let driver_clean_ivm_campaign () =
   Alcotest.(check (list string)) "no ivm findings" []
     (List.map (fun f -> f.Driver.f_name) findings)
 
+(* ------------------------------------------------------------------ *)
+(* Oracle: float SUMs that differ only in addition order agree          *)
+(* ------------------------------------------------------------------ *)
+
+(* Seed 10's pair: one float SUM added in two orders. A last-bit
+   difference agrees; a 1e-6 relative change, and any change to an
+   integral value, still diverges. *)
+let oracle_float_tolerance () =
+  let module V = Arc_value.Value in
+  let bag vs =
+    Oracle.bag_of
+      (Relation.of_rows [ "k"; "s" ] (List.map (fun v -> [ V.Int 1; v ]) vs))
+  in
+  let x = 0x1.0000035afe536p+0 and y = 0x1.0000035afe535p+0 in
+  Alcotest.(check bool) "last-bit difference agrees" true
+    (Oracle.agree (bag [ V.Float x ]) (bag [ V.Float y ]));
+  Alcotest.(check bool) "1e-6 relative change diverges" false
+    (Oracle.agree (bag [ V.Float x ]) (bag [ V.Float (x *. (1. +. 1e-6)) ]));
+  Alcotest.(check bool) "integral values stay exact" false
+    (Oracle.agree (bag [ V.Float 1e17 ]) (bag [ V.Float (1e17 +. 16.) ]));
+  Alcotest.(check bool) "row counts still matter" false
+    (Oracle.agree (bag [ V.Float x ]) (bag [ V.Float x; V.Float y ]))
+
 let () =
   Alcotest.run "arc_fuzz"
     [
@@ -193,5 +216,10 @@ let () =
             driver_clean_campaign;
           Alcotest.test_case "fixed-seed ivm campaign is clean" `Quick
             driver_clean_ivm_campaign;
+        ] );
+      ( "oracle",
+        [
+          Alcotest.test_case "non-integral floats within 1e-9" `Quick
+            oracle_float_tolerance;
         ] );
     ]

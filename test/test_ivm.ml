@@ -160,6 +160,162 @@ let agg_incremental conv =
     "aggregate stays on the counting path" 0 (Ivm.fallback_total ivm)
 
 (* ------------------------------------------------------------------ *)
+(* Every aggregate path of the counting view                           *)
+(* ------------------------------------------------------------------ *)
+
+(* Grouped views over O(k, v): each case registers one view, then checks
+   it against re-evaluation after registration and after every batch, and
+   that it never left the counting path. Accumulated aggregates (count,
+   int-only sum and avg) and re-folded ones (min/max, the distinct kinds,
+   groups holding floats) must agree with the reference fold exactly. *)
+let big = 1 lsl 53
+
+let o_db rows =
+  Database.of_list [ ("O", Relation.of_rows [ "k"; "v" ] rows) ]
+
+let agg_path ~text ~rows ~batches conv =
+  let db = o_db rows in
+  let prog = Arc_syntax.Parser.program_of_string text in
+  let ivm = Ivm.create ~conv ~db () in
+  Ivm.register ivm ~name:"V" prog;
+  check_against_scratch ~conv ivm "V" prog;
+  List.iter
+    (fun entries ->
+      ignore
+        (Ivm.apply ivm
+           [ ("O", List.map (fun (vs, n) -> (row db "O" vs, n)) entries) ]);
+      check_against_scratch ~conv ivm "V" prog)
+    batches;
+  Alcotest.(check int)
+    (Conventions.to_string conv ^ ": stays on the counting path")
+    0 (Ivm.fallback_total ivm)
+
+let f = V.float
+
+(* count/avg/min/max; the batches delete the current min and max *)
+let count_avg_min_max =
+  agg_path
+    ~text:
+      "{T(k, c, a, lo, hi) | exists o in O, gamma_{o.k}[T.k = o.k and T.c = \
+       count(o.v) and T.a = avg(o.v) and T.lo = min(o.v) and T.hi = \
+       max(o.v)]}"
+    ~rows:[ [ i 1; i 10 ]; [ i 1; i 3 ]; [ i 1; i 42 ]; [ i 2; i 5 ] ]
+    ~batches:
+      [
+        [ ([ i 1; i 3 ], -1); ([ i 1; i 42 ], -1) ];
+        [ ([ i 1; i (-7) ], 1); ([ i 1; i 100 ], 1); ([ i 2; i 8 ], 1) ];
+        [ ([ i 1; i (-7) ], -1); ([ i 2; i 5 ], -1) ];
+      ]
+
+let distinct_kinds =
+  agg_path
+    ~text:
+      "{T(k, cd, sd) | exists o in O, gamma_{o.k}[T.k = o.k and T.cd = \
+       countdistinct(o.v) and T.sd = sumdistinct(o.v)]}"
+    ~rows:[ [ i 1; i 4 ]; [ i 1; i 4 ]; [ i 1; i 6 ]; [ i 2; i 1 ] ]
+    ~batches:
+      [
+        [ ([ i 1; i 4 ], -1) ];
+        [ ([ i 1; i 4 ], -1); ([ i 2; i 1 ], 1) ];
+        [ ([ i 1; i 6 ], 1); ([ i 2; f 1.0 ], -1) ];
+      ]
+
+(* a group's inputs switch from int to float and back; the last group's
+   float partial sums round (its sum of |v| passes 2^53), so avg must
+   re-fold in order rather than divide the exact integer sum *)
+let int_float_switch =
+  agg_path
+    ~text:
+      "{T(k, s, a) | exists o in O, gamma_{o.k}[T.k = o.k and T.s = \
+       sum(o.v) and T.a = avg(o.v)]}"
+    ~rows:
+      [
+        [ i 1; i 10 ]; [ i 1; i 20 ]; [ i 2; i 1 ];
+        [ i 3; i (big - 1) ]; [ i 3; i 2 ]; [ i 3; i 2 ];
+      ]
+    ~batches:
+      [
+        [ ([ i 1; f 2.5 ], 1) ];
+        [ ([ i 1; i 7 ], 1); ([ i 2; f 0.1 ], 1) ];
+        [ ([ i 1; f 2.5 ], -1); ([ i 2; f 0.1 ], -1) ];
+        [ ([ i 3; i 2 ], -1); ([ i 3; i (big + 1) ], 1) ];
+        [ ([ i 3; i (big + 1) ], -1) ];
+      ]
+
+let null_inputs =
+  agg_path
+    ~text:
+      "{T(k, c, s, a, lo) | exists o in O, gamma_{o.k}[T.k = o.k and T.c = \
+       count(o.v) and T.s = sum(o.v) and T.a = avg(o.v) and T.lo = \
+       min(o.v)]}"
+    ~rows:[ [ i 1; i 10 ]; [ i 1; V.Null ]; [ i 2; V.Null ] ]
+    ~batches:
+      [
+        [ ([ i 1; i 10 ], -1) ];
+        [ ([ i 2; i 3 ], 1); ([ i 1; V.Null ], 1) ];
+        [ ([ i 2; i 3 ], -1) ];
+      ]
+
+(* the same row twice: one copy leaves at a time (under Set the base is
+   deduplicated first) *)
+let duplicate_support =
+  agg_path
+    ~text:
+      "{T(k, c, s) | exists o in O, gamma_{o.k}[T.k = o.k and T.c = \
+       count(o.v) and T.s = sum(o.v)]}"
+    ~rows:[ [ i 1; i 5 ]; [ i 1; i 5 ]; [ i 2; i 9 ] ]
+    ~batches:
+      [
+        [ ([ i 1; i 5 ], -1) ];
+        [ ([ i 1; i 5 ], 2); ([ i 2; i 9 ], 1) ];
+        [ ([ i 1; i 5 ], -2) ];
+      ]
+
+(* a group vanishes, returns in a later batch, and is emptied and
+   refilled within one batch *)
+let vanish_and_return =
+  agg_path
+    ~text:
+      "{T(k, s, hi) | exists o in O, gamma_{o.k}[T.k = o.k and T.s = \
+       sum(o.v) and T.hi = max(o.v)]}"
+    ~rows:[ [ i 1; i 5 ]; [ i 2; i 7 ]; [ i 2; i 8 ] ]
+    ~batches:
+      [
+        [ ([ i 2; i 7 ], -1); ([ i 2; i 8 ], -1) ];
+        [ ([ i 2; i 1 ], 1) ];
+        [ ([ i 1; i 5 ], -1); ([ i 1; i 6 ], 1) ];
+      ]
+
+(* γ∅ over no rows follows the agg-empty convention; the runner covers
+   both of its values *)
+let gamma_empty =
+  agg_path
+    ~text:
+      "{T(n, s, a, hi) | exists o in O, gamma_0[T.n = count(o.v) and T.s = \
+       sum(o.v) and T.a = avg(o.v) and T.hi = max(o.v)]}"
+    ~rows:[ [ i 1; i 5 ]; [ i 2; i 7 ] ]
+    ~batches:
+      [
+        [ ([ i 1; i 5 ], -1); ([ i 2; i 7 ], -1) ];
+        [ ([ i 3; i 4 ], 1) ];
+        [ ([ i 3; i 4 ], -1) ];
+      ]
+
+(* an aggregate that appears only in a HAVING formula *)
+let having_aggregate =
+  agg_path
+    ~text:
+      "{T(k, c) | exists o in O, gamma_{o.k}[T.k = o.k and T.c = count(o.v) \
+       and sum(o.v) > 20]}"
+    ~rows:[ [ i 1; i 15 ]; [ i 1; i 10 ]; [ i 2; i 5 ] ]
+    ~batches:
+      [
+        [ ([ i 1; i 10 ], -1); ([ i 2; i 30 ], 1) ];
+        [ ([ i 1; i 6 ], 1) ];
+        [ ([ i 2; i 30 ], -1) ];
+      ]
+
+(* ------------------------------------------------------------------ *)
 (* Recursive: transitive closure under DRed                            *)
 (* ------------------------------------------------------------------ *)
 
@@ -394,6 +550,21 @@ let () =
             (for_all_convs join_incremental);
           Alcotest.test_case "grouped aggregate, all convs" `Quick
             (for_all_convs agg_incremental);
+          Alcotest.test_case "count/avg/min/max, extremes deleted" `Quick
+            (for_all_convs count_avg_min_max);
+          Alcotest.test_case "countdistinct/sumdistinct" `Quick
+            (for_all_convs distinct_kinds);
+          Alcotest.test_case "int to float and back, avg past 2^53" `Quick
+            (for_all_convs int_float_switch);
+          Alcotest.test_case "NULL inputs" `Quick (for_all_convs null_inputs);
+          Alcotest.test_case "duplicate support rows" `Quick
+            (for_all_convs duplicate_support);
+          Alcotest.test_case "group vanishes and returns" `Quick
+            (for_all_convs vanish_and_return);
+          Alcotest.test_case "gamma-0 empty and back" `Quick
+            (for_all_convs gamma_empty);
+          Alcotest.test_case "HAVING on an aggregate" `Quick
+            (for_all_convs having_aggregate);
         ] );
       ( "dred",
         [

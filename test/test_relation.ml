@@ -282,6 +282,48 @@ let rel_apply_delta () =
   let r'' = Relation.apply_delta r [ (t (V.float 2.0), -1) ] in
   Alcotest.(check int) "Float 2.0 deletes Int 2" 2 (Relation.cardinality r'')
 
+(* Deletions match stored rows by value key over the relation's
+   attribute order: a row given in another attribute order, an Int that
+   equals a stored Float, NULL cells and multiplicities all find their
+   rows; survivors keep their order and inserts follow them. *)
+let rel_apply_delta_value_keys () =
+  let r =
+    Relation.of_rows [ "A"; "B" ]
+      [
+        [ i 6; i 60 ];
+        [ i 1; V.float 1.0 ];
+        [ i 2; V.Null ];
+        [ i 3; i 30 ];
+        [ i 4; V.str "x" ];
+        [ i 3; i 30 ];
+        [ i 7; V.float 2.5 ];
+      ]
+  in
+  let ab vs = Tuple.make (Relation.schema r) (Array.of_list vs) in
+  let ba = Tuple.make (Schema.make [ "B"; "A" ]) [| V.str "x"; i 4 |] in
+  let r' =
+    Relation.apply_delta r
+      [
+        (ba, -1);
+        (ab [ i 1; i 1 ], -1);
+        (ab [ i 2; V.Null ], -1);
+        (ab [ i 3; i 30 ], -2);
+        (ab [ i 5; i 50 ], 1);
+      ]
+  in
+  let expected =
+    Relation.of_rows [ "A"; "B" ]
+      [ [ i 6; i 60 ]; [ i 7; V.float 2.5 ]; [ i 5; i 50 ] ]
+  in
+  Alcotest.(check (list string))
+    "survivors in order, then inserts"
+    (List.map Tuple.key (Relation.tuples expected))
+    (List.map Tuple.key (Relation.tuples r'));
+  Alcotest.(check int) "the input is unchanged" 7 (Relation.cardinality r);
+  Alcotest.check_raises "over-delete is an error"
+    (Invalid_argument "Relation.apply_delta: delete exceeds multiplicity")
+    (fun () -> ignore (Relation.apply_delta r [ (ab [ i 3; i 30 ], -3) ]))
+
 (* NULL deletes NULL under the canonical key — the 2VL/3VL distinction is
    about predicate evaluation, not identity, so both conventions share
    this behavior *)
@@ -373,6 +415,8 @@ let () =
           Alcotest.test_case "table rendering" `Quick table_render;
           Alcotest.test_case "csv roundtrip" `Quick csv_roundtrip;
           Alcotest.test_case "apply_delta" `Quick rel_apply_delta;
+          Alcotest.test_case "apply_delta on value keys" `Quick
+            rel_apply_delta_value_keys;
           Alcotest.test_case "signed deltas and NULL" `Quick rel_delta_nulls;
         ] );
       ("database", [ Alcotest.test_case "basics" `Quick database ]);
